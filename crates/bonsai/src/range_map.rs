@@ -606,6 +606,51 @@ impl<V> fmt::Debug for RangeMap<V> {
 mod tests {
     use super::*;
 
+    /// The page-fault probe inherits the collector's RMW-free read side:
+    /// `contains` performs no atomic read-modify-write through rcukit's
+    /// sync facade, takes neither the thread's bag mutex nor a registry
+    /// lock, and leaves the collector's strong count alone (the censuses
+    /// count in debug builds; in release they read 0 on both sides). The
+    /// census cannot see a std `Arc`; that the guard holds no reference to
+    /// the thread state is rcukit's to check, where the state is visible
+    /// (`slot_pins_perform_no_rmw_and_take_no_lock`).
+    #[test]
+    fn contains_performs_no_rmw_and_takes_no_lock() {
+        let c = Collector::new();
+        let m: RangeMap<u32> = RangeMap::new(c.clone());
+        for slot in 0..64u64 {
+            assert!(m.map(slot * 0x2000, slot * 0x2000 + 0x1000, slot as u32));
+        }
+        assert!(m.contains(0x2000)); // this thread's slot now holds `c`
+        let handles_before = c.handle_count();
+        let before = c.stats();
+        let rmws_before = Collector::thread_rmw_count();
+        let mut hits = 0;
+        for i in 0..10_000u64 {
+            hits += usize::from(m.contains((i % 128) * 0x1000));
+        }
+        let rmws = Collector::thread_rmw_count() - rmws_before;
+        let after = c.stats();
+        assert_eq!(hits, 5_000);
+        assert_eq!(rmws, 0, "faults performed atomic RMWs");
+        assert_eq!(c.handle_count(), handles_before);
+        // What the second `stats()` call itself acquired, as in rcukit's
+        // `slot_pins_perform_no_rmw_and_take_no_lock`.
+        let (per_stats_registry, per_stats_bags) = if cfg!(debug_assertions) {
+            (
+                after.registry_shards as u64,
+                after.registered_threads as u64,
+            )
+        } else {
+            (0, 0)
+        };
+        assert_eq!(
+            after.registry_locks - before.registry_locks,
+            per_stats_registry
+        );
+        assert_eq!(after.bag_locks - before.bag_locks, per_stats_bags);
+    }
+
     #[test]
     fn map_lookup_unmap() {
         let m: RangeMap<u32> = RangeMap::new(Collector::new());

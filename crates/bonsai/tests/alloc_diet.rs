@@ -15,22 +15,41 @@
 //! schedule. The companion capacity-flat assertions (arena chunk counts)
 //! live in `range_map.rs`/`tree.rs` unit tests and keep holding under
 //! concurrency.
+//!
+//! Allocations are counted **per thread**: the harness runs this binary's
+//! tests on parallel threads, and each test measures only what its own
+//! thread allocated — a process-wide counter would charge the fork tests'
+//! allocations to the churn test's window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::cell::Cell;
 
 use bonsai::{BonsaiTree, RangeMap};
 use rcukit::Collector;
 
-/// Counts every allocation (alloc/realloc/alloc_zeroed) passed through to
-/// the system allocator.
+/// Counts every allocation (alloc/realloc/alloc_zeroed) the calling thread
+/// passes through to the system allocator.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// `const`-initialised and destructor-free, so touching it from inside
+    /// the allocator never allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation against the calling thread.
+fn count() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations the calling thread has made so far.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
+        count();
         // Safety: forwarded contract.
         unsafe { System.alloc(layout) }
     }
@@ -41,13 +60,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
+        count();
         // Safety: forwarded contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
+        count();
         // Safety: forwarded contract.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -94,10 +113,10 @@ fn steady_state_churn_allocates_nothing() {
     assert!(chunks_warm > 0, "warm-up never grew an arena");
 
     // Steady state: thousands of further updates, same shape. Single
-    // thread ⇒ deterministic; the count must be exactly zero.
-    let before = ALLOCS.load(Relaxed);
+    // thread ⇒ deterministic; this thread's count must be exactly zero.
+    let before = allocs();
     churn(&m, 40);
-    let after = ALLOCS.load(Relaxed);
+    let after = allocs();
     assert_eq!(
         after - before,
         0,
@@ -139,13 +158,13 @@ fn fork_allocates_o_depth_not_o_n() {
     // the measured runs count only what a fork inherently allocates.
     drop(small.fork());
 
-    let before = ALLOCS.load(Relaxed);
+    let before = allocs();
     let big_child = big.fork();
-    let big_fork_allocs = ALLOCS.load(Relaxed) - before;
+    let big_fork_allocs = allocs() - before;
 
-    let before = ALLOCS.load(Relaxed);
+    let before = allocs();
     let small_child = small.fork();
-    let small_fork_allocs = ALLOCS.load(Relaxed) - before;
+    let small_fork_allocs = allocs() - before;
 
     assert!(
         big_fork_allocs <= 34,
@@ -184,13 +203,13 @@ fn range_map_fork_allocates_o_stripes_not_o_regions() {
     }
     drop(small.fork());
 
-    let before = ALLOCS.load(Relaxed);
+    let before = allocs();
     let big_child = big.fork();
-    let big_fork_allocs = ALLOCS.load(Relaxed) - before;
+    let big_fork_allocs = allocs() - before;
 
-    let before = ALLOCS.load(Relaxed);
+    let before = allocs();
     let small_child = small.fork();
-    let small_fork_allocs = ALLOCS.load(Relaxed) - before;
+    let small_fork_allocs = allocs() - before;
 
     assert_eq!(
         big_fork_allocs, small_fork_allocs,

@@ -1239,7 +1239,11 @@ pub(crate) fn cell_access(sched: &Scheduler, me: usize, id: usize, write: bool) 
     };
     if let Some(msg) = race {
         // The state lock is released; fail the model through the normal
-        // panicking path so the failing schedule is reported.
+        // panicking path so the failing schedule is reported. Record the
+        // failure first: the code under test may catch the panic (rcukit
+        // contains panics of deferred callbacks), and a caught race is
+        // still a race.
+        sched.record_failure(me, msg.clone());
         panic!("loomette: {msg}");
     }
 }

@@ -27,12 +27,27 @@
 //! all (see [`Guard`](crate::Guard)): the hot path is the thread's own
 //! status word plus a read of the global epoch word.
 //!
+//! # The thread slot
+//!
+//! [`Collector::pin`] finds the calling thread's registration through a
+//! one-entry, `const`-initialised thread-local ([`ThreadSlot`]) holding the
+//! last-used collector's identity and a raw pointer to the thread's
+//! [`LocalState`] for it, in front of the per-thread handle cache
+//! ([`HANDLES`]). A hit costs one TLS access and no atomic
+//! read-modify-write: the guard *borrows* the state. The borrow is sound
+//! because a `LocalState` is freed only by leaving its shard's registry,
+//! and it leaves only when its handle drops with no guard live
+//! ([`LocalHandle`]'s `Drop`) or, orphaned, when its last guard drops
+//! (`Guard`'s `Drop`); the slot itself is emptied before the cache entry it
+//! points into dies ([`CachedHandle`]'s `Drop`).
+//!
 //! [`GRACE_EPOCHS`]: crate::GRACE_EPOCHS
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::marker::PhantomData;
 use std::mem;
+use std::ptr;
 use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed, SeqCst};
 use std::sync::Arc;
 use std::thread;
@@ -94,7 +109,8 @@ pub(crate) struct LocalState {
     /// `0` when unpinned, `(epoch << 1) | 1` while pinned.
     pub(crate) status: AtomicU64,
     /// Number of live guards for this handle (nesting depth). Only the owning
-    /// thread mutates this; the collector never reads it.
+    /// thread reads or writes it (plain load/store, no RMW); the collector
+    /// never reads it.
     pub(crate) guard_count: AtomicUsize,
     /// Set when this registration has no owning [`LocalHandle`] (the one-shot
     /// orphan pin path) or its handle was dropped while an owned guard was
@@ -104,6 +120,11 @@ pub(crate) struct LocalState {
     /// opportunistic collect because the thread still held other guards;
     /// this handle's next guard-free unpin collects instead.
     pub(crate) collect_pending: AtomicBool,
+    /// Owner-thread mirror of `!bag.is_empty()`: written under the `bag`
+    /// lock wherever the owning thread fills or seals the bag, read without
+    /// it — an unpin with nothing retired must not touch the mutex just to
+    /// learn that.
+    pub(crate) bag_dirty: AtomicBool,
     /// Garbage-bearing guard-free unpins since this handle last ran the
     /// opportunistic collect — the collect-throttle counter. Only the
     /// owning thread reads or writes it (plain load/store, no RMW).
@@ -124,6 +145,7 @@ impl LocalState {
             guard_count: AtomicUsize::new(0),
             orphaned: AtomicBool::new(false),
             collect_pending: AtomicBool::new(false),
+            bag_dirty: AtomicBool::new(false),
             garbage_unpins: AtomicUsize::new(0),
             shard,
             bag: Mutex::new(Bag::new(0)),
@@ -206,6 +228,12 @@ pub(crate) struct Inner {
     /// taker would reintroduce exactly the cross-shard cache-line traffic
     /// the sharding removed (release builds report 0).
     registry_locks: AtomicU64,
+    /// Diagnostic twin of `registry_locks` for the per-thread bag mutexes.
+    /// An unpin that retired nothing must never move it. The field itself
+    /// exists in debug builds only, so release builds allocate exactly
+    /// what they did without it.
+    #[cfg(debug_assertions)]
+    bag_locks: AtomicU64,
     /// Number of per-thread TLS cache entries (see [`HANDLES`]) currently
     /// holding a handle to this collector. Used by the cache sweep to tell
     /// "alive only because caches hold it" apart from "externally owned":
@@ -242,6 +270,27 @@ impl Inner {
             self.registry_locks.fetch_add(1, Relaxed);
         }
         self.shards[shard].registry.lock().unwrap()
+    }
+
+    /// Locks `local`'s bag, counting the acquisition in debug builds (the
+    /// hot-path regression tests assert an empty-bag unpin never reaches
+    /// here).
+    fn bag<'l>(&self, local: &'l LocalState) -> MutexGuard<'l, Bag> {
+        // ordering: Relaxed — diagnostic counter; nothing is published
+        // through it.
+        #[cfg(debug_assertions)]
+        self.bag_locks.fetch_add(1, Relaxed);
+        local.bag.lock().unwrap()
+    }
+
+    /// Bag-mutex acquisitions so far (0 in release builds, which do not
+    /// count them).
+    fn bag_locks(&self) -> u64 {
+        // ordering: Relaxed — diagnostic counter.
+        #[cfg(debug_assertions)]
+        return self.bag_locks.load(Relaxed);
+        #[cfg(not(debug_assertions))]
+        0
     }
 
     /// Attempts one epoch advance. Returns `true` if the global epoch moved.
@@ -379,18 +428,30 @@ impl Inner {
     }
 
     /// Moves a thread's local bag (if non-empty) into its home shard's
-    /// sealed queue. Returns whether anything was sealed.
+    /// sealed queue. Returns whether anything was sealed. Owner thread
+    /// only; an empty bag costs one load and no lock.
+    #[inline]
     pub(crate) fn seal_bag(&self, local: &LocalState) -> bool {
+        // ordering: Relaxed — owner-thread-only word: only `local`'s own
+        // thread fills or seals its bag (here and in `defer`), so the mirror
+        // it reads is the one it wrote.
+        let dirty = local.bag_dirty.load(Relaxed);
+        if dirty {
+            self.seal_dirty_bag(local);
+        }
+        dirty
+    }
+
+    /// The locked half of [`seal_bag`](Self::seal_bag).
+    fn seal_dirty_bag(&self, local: &LocalState) {
         let sealed = {
-            let mut bag = local.bag.lock().unwrap();
-            if bag.is_empty() {
-                return false;
-            }
+            let mut bag = self.bag(local);
             let epoch = bag.epoch;
+            // ordering: Relaxed — owner-thread-only word (see `seal_bag`).
+            local.bag_dirty.store(false, Relaxed);
             mem::replace(&mut *bag, self.pooled_bag(epoch))
         };
         self.shards[local.shard].push_garbage(sealed);
-        true
     }
 
     /// Adds one deferred retirement (standing for `objects` heap objects /
@@ -409,7 +470,7 @@ impl Inner {
         // period, and the epoch word is monotone.
         let tag = self.epoch.load(Relaxed);
         let sealed = {
-            let mut bag = local.bag.lock().unwrap();
+            let mut bag = self.bag(local);
             let stale = if !bag.is_empty() && bag.epoch != tag {
                 Some(mem::replace(&mut *bag, self.pooled_bag(tag)))
             } else {
@@ -422,6 +483,9 @@ impl Inner {
             } else {
                 None
             };
+            // ordering: Relaxed — owner-thread-only word (see `seal_bag`):
+            // `defer` runs on the thread whose guard `local` belongs to.
+            local.bag_dirty.store(full.is_none(), Relaxed);
             (stale, full)
         };
         // ordering: Relaxed (both) — statistics counters.
@@ -452,10 +516,20 @@ impl Inner {
         }
     }
 
-    /// Removes `local` from its home shard's registry (idempotent).
-    pub(crate) fn unregister(&self, local: &Arc<LocalState>) {
-        self.registry(local.shard)
-            .retain(|l| !Arc::ptr_eq(l, local));
+    /// Removes `local` from its home shard's registry (idempotent) and
+    /// returns the registry's reference to it — the one keeping the state
+    /// allocated for guards that borrow it, so a guard unregistering its
+    /// own state holds the result until it is done with the state. Takes a
+    /// pointer (compared, never dereferenced) for that reason: the state
+    /// may be freed when the caller drops the result.
+    pub(crate) fn unregister(
+        &self,
+        shard: usize,
+        local: *const LocalState,
+    ) -> Option<Arc<LocalState>> {
+        let mut registry = self.registry(shard);
+        let pos = registry.iter().position(|l| Arc::as_ptr(l) == local)?;
+        Some(registry.swap_remove(pos))
     }
 
     /// One non-blocking advance-and-reclaim step. Returns the number of
@@ -535,6 +609,17 @@ struct CachedHandle {
 
 impl Drop for CachedHandle {
     fn drop(&mut self) {
+        // Empty the thread slot if it points into this entry, *before*
+        // `handle` drops (fields drop after this body): the slot must never
+        // hold a state whose cache entry is gone. Sweep eviction and thread
+        // exit both come through here.
+        let local = Arc::as_ptr(&self.handle.local);
+        let _ = SLOT.try_with(|slot| {
+            if slot.local.get() == local {
+                slot.id.set(0);
+                slot.local.set(ptr::null());
+            }
+        });
         // Runs before `handle` (and its `Arc<Inner>`) is dropped, so the
         // count transiently underestimates the cache population; sweeps err
         // toward keeping an entry one round longer, never toward use-after-
@@ -547,41 +632,93 @@ impl Drop for CachedHandle {
     }
 }
 
-/// A thread's handle cache plus the pin counter driving the sampled sweep.
-#[cfg_attr(loom, allow(dead_code))] // TLS cache layer is outside the model's scope
-struct HandleCache {
-    entries: Vec<CachedHandle>,
-    /// Cache-hit pins since the last sweep; at [`SWEEP_PERIOD`] the hit path
-    /// sweeps too, so a thread that only ever cache-hits still releases
-    /// abandoned collectors instead of holding them until thread exit.
-    pins_since_sweep: u32,
+/// The calling thread's fast slot: everything [`Collector::pin`] and a
+/// guard's drop need from thread-local storage, in one `const`-initialised
+/// cell with no destructor (so it stays readable during thread exit).
+#[cfg_attr(loom, allow(dead_code))] // only `live_guards` is used under the model checker
+struct ThreadSlot {
+    /// Live guards on this thread, across all collectors and handles
+    /// (cached or explicitly registered).
+    live_guards: Cell<usize>,
+    /// Identity of the collector this thread pinned last through the TLS
+    /// cache (`0` when empty), and this thread's state for it. Non-null
+    /// `local` points into a live [`HANDLES`] entry of this thread.
+    id: Cell<usize>,
+    local: Cell<*const LocalState>,
+    /// Sampled pins since the last sweep, capped at [`SWEEP_PERIOD`]; at
+    /// the cap the hit path yields to the slow path, so a thread that only
+    /// ever hits still releases abandoned collectors instead of holding
+    /// them until thread exit.
+    pins_since_sweep: Cell<u32>,
 }
 
 #[cfg_attr(loom, allow(dead_code))] // TLS cache layer is outside the model's scope
-impl HandleCache {
-    /// The sampled eviction gate shared by [`Collector::pin`] and
-    /// [`Collector::housekeep`]: counts the pin, and sweeps when due
-    /// (`force` skips the cadence check — used on cache misses, which are
-    /// already the slow path) but only while the thread holds no guard (an
-    /// evicted collector's callbacks run inline and may block on a grace
-    /// period the thread's own pin would stall forever). The counter resets
-    /// only when the sweep actually runs, so a skipped sweep retries on the
-    /// next guard-free opportunity. The caller must drop the returned
-    /// entries outside the `HANDLES` borrow.
-    fn sweep_if_due(&mut self, force: bool) -> Vec<CachedHandle> {
-        let due = if force {
-            true
-        } else {
-            self.pins_since_sweep = self.pins_since_sweep.saturating_add(1);
-            self.pins_since_sweep >= SWEEP_PERIOD
-        };
-        if due && crate::guard::live_guards() == 0 {
-            self.pins_since_sweep = 0;
-            sweep_abandoned(&mut self.entries)
-        } else {
-            Vec::new()
-        }
+impl ThreadSlot {
+    /// Counts one pin toward the sampled sweep and reports whether the
+    /// sweep is due. The count stays at the cap — the sweep stays due —
+    /// until [`sweep_if_due`] actually runs it.
+    #[inline]
+    fn tick(&self) -> bool {
+        let n = (self.pins_since_sweep.get() + 1).min(SWEEP_PERIOD);
+        self.pins_since_sweep.set(n);
+        n == SWEEP_PERIOD
     }
+
+    /// Counts a guard the thread just created.
+    #[inline]
+    fn count_guard(&self) {
+        self.live_guards.set(self.live_guards.get() + 1);
+    }
+
+    /// The [`Collector::pin`]/[`pin_quiet`](Collector::pin_quiet) hit path:
+    /// if the slot holds collector `id`'s state, counts the new guard and
+    /// returns the state. A `sampled` hit that finds the sweep due reports
+    /// a miss instead, sending the pin through the slow path that runs it
+    /// (whose own tick changes nothing at the cap).
+    #[inline]
+    fn hit(&self, id: usize, sampled: bool) -> Option<*const LocalState> {
+        if self.id.get() != id || (sampled && self.tick()) {
+            return None;
+        }
+        self.count_guard();
+        Some(self.local.get())
+    }
+}
+
+thread_local! {
+    static SLOT: ThreadSlot = const {
+        ThreadSlot {
+            live_guards: Cell::new(0),
+            id: Cell::new(0),
+            local: Cell::new(ptr::null()),
+            pins_since_sweep: Cell::new(0),
+        }
+    };
+
+    /// Per-thread cache of handles, keyed by collector identity, backing
+    /// [`Collector::pin`] behind the one-entry [`SLOT`].
+    static HANDLES: RefCell<Vec<CachedHandle>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Counts a guard the calling thread just created.
+#[inline]
+pub(crate) fn guard_entered() {
+    let _ = SLOT.try_with(ThreadSlot::count_guard);
+}
+
+/// Uncounts a guard the calling thread is dropping and returns how many it
+/// still holds — what gates inline callback execution at unpin: a callback
+/// may block on a grace period, which can never elapse while this thread
+/// stays pinned. Reports "some" when the TLS value is unavailable — the
+/// conservative answer.
+#[inline]
+pub(crate) fn guard_left() -> usize {
+    SLOT.try_with(|slot| {
+        let n = slot.live_guards.get().saturating_sub(1);
+        slot.live_guards.set(n);
+        n
+    })
+    .unwrap_or(1)
 }
 
 /// Run the eviction sweep on the hit path after this many pins. Misses
@@ -589,15 +726,42 @@ impl HandleCache {
 #[cfg_attr(loom, allow(dead_code))] // TLS cache layer is outside the model's scope
 const SWEEP_PERIOD: u32 = 128;
 
+/// The sampled eviction gate shared by [`Collector::pin`] and
+/// [`Collector::housekeep`]: counts the pin, and sweeps when due (`force`
+/// skips the cadence check — used on cache misses, which are already the
+/// slow path) but only while the thread holds no guard (an evicted
+/// collector's callbacks run inline and may block on a grace period the
+/// thread's own pin would stall forever). The counter resets only when the
+/// sweep actually runs, so a skipped sweep retries on the next guard-free
+/// opportunity. The caller must drop the returned entries outside the
+/// `HANDLES` borrow.
+#[cfg_attr(loom, allow(dead_code))] // TLS cache layer is outside the model's scope
+fn sweep_if_due(
+    slot: &ThreadSlot,
+    entries: &mut Vec<CachedHandle>,
+    force: bool,
+) -> Vec<CachedHandle> {
+    if (force || slot.tick()) && slot.live_guards.get() == 0 {
+        slot.pins_since_sweep.set(0);
+        sweep_abandoned(entries)
+    } else {
+        Vec::new()
+    }
+}
+
 /// Drains entries whose collector *appears* to be referenced only by TLS
 /// caches (`strong_count <= tls_cached`). The two counters are read
 /// separately, so a sweep racing a registration on another thread can
 /// spuriously evict a live collector's entry — benign: the external
 /// reference keeps the collector alive, and the entry is rebuilt on this
-/// thread's next pin of it. Eviction is advisory cleanup, never a safety
-/// hinge. The caller must drop the returned entries *outside* the `HANDLES`
-/// borrow: the last cache to let go triggers `Inner::drop`, which runs user
-/// deferred callbacks that may re-enter [`Collector::pin`].
+/// thread's next pin of it. The one borrower such an eviction can pull the
+/// state out from under is a guard of that collector in the middle of its
+/// own drop — already uncounted, running callbacks that got here by
+/// pinning — and `Guard::drop` owns a reference to the state across those
+/// callbacks for exactly this case. The caller must drop the returned
+/// entries *outside* the `HANDLES` borrow: the last cache to let go triggers
+/// `Inner::drop`, which runs user deferred callbacks that may re-enter
+/// [`Collector::pin`].
 #[cfg_attr(loom, allow(dead_code))] // TLS cache layer is outside the model's scope
 fn sweep_abandoned(entries: &mut Vec<CachedHandle>) -> Vec<CachedHandle> {
     let mut evicted = Vec::new();
@@ -615,15 +779,13 @@ fn sweep_abandoned(entries: &mut Vec<CachedHandle>) -> Vec<CachedHandle> {
     evicted
 }
 
-thread_local! {
-    /// Per-thread cache of handles, keyed by collector identity, backing
-    /// [`Collector::pin`].
-    static HANDLES: RefCell<HandleCache> = const {
-        RefCell::new(HandleCache {
-            entries: Vec::new(),
-            pins_since_sweep: 0,
-        })
-    };
+/// Runs `f` on the calling thread's slot and handle cache; `None` when
+/// either is unavailable (thread exit).
+#[cfg(not(loom))]
+fn with_tls_cache<R>(f: impl FnOnce(&ThreadSlot, &mut Vec<CachedHandle>) -> R) -> Option<R> {
+    SLOT.try_with(|slot| HANDLES.try_with(|cache| f(slot, &mut cache.borrow_mut())))
+        .ok()?
+        .ok()
 }
 
 /// An epoch-based garbage collector.
@@ -665,6 +827,8 @@ impl Collector {
                 unreclaimed_bytes: AtomicU64::new(0),
                 peak_unreclaimed_bytes: AtomicU64::new(0),
                 registry_locks: AtomicU64::new(0),
+                #[cfg(debug_assertions)]
+                bag_locks: AtomicU64::new(0),
                 tls_cached: AtomicUsize::new(0),
                 unpin_collect_period: AtomicUsize::new(UNPIN_COLLECT_PERIOD),
                 bag_pool: Mutex::new(Vec::new()),
@@ -721,60 +885,13 @@ impl Collector {
     ///
     /// This is the ergonomic entry point for code that does not want to
     /// thread a [`LocalHandle`] around. The cached handle is unregistered
-    /// when the thread exits. The hot path (cache hit) performs no shared
-    /// atomic read-modify-write: the guard borrows `self` instead of
-    /// cloning the collector handle.
+    /// when the thread exits. The hot path — the thread pinned this
+    /// collector last — performs no atomic read-modify-write at all: one
+    /// thread-local access finds the thread's state, and the guard borrows
+    /// both it and `self`.
+    #[inline]
     pub fn pin(&self) -> Guard<'_> {
-        // Model-checking tier: the TLS handle cache is deliberately outside
-        // the model's scope. A cached handle is torn down by the OS
-        // thread-exit TLS destructor, which runs *after* the model thread
-        // has finished — i.e. outside the loomette scheduler — and its
-        // registry unregistration would race the still-scheduled threads on
-        // real time (nondeterministic replay, and a real deadlock if a
-        // paused model thread holds the registry mutex). Orphan pins keep
-        // every registry mutation inside the scheduled body.
-        #[cfg(loom)]
-        {
-            self.pin_orphan()
-        }
-        #[cfg(not(loom))]
-        loop {
-            let outcome = HANDLES.try_with(|cache| {
-                let mut cache = cache.borrow_mut();
-                let cache = &mut *cache;
-                let id = self.id();
-                let pos = cache.entries.iter().position(|e| e.id == id);
-                // Without the sweep, a long-lived thread would keep every
-                // collector it ever pinned alive until thread exit.
-                let evicted = cache.sweep_if_due(pos.is_none());
-                if !evicted.is_empty() {
-                    // Hand them out and retry: the drop must happen before
-                    // our own pin exists (a callback may block on a grace
-                    // period our pin would stall) and outside the borrow.
-                    return Err(evicted);
-                }
-                // `pos` is still valid on this path: the sweep either did
-                // not run or evicted nothing (else we returned above), so
-                // the entries vec is unchanged.
-                Ok(if let Some(p) = pos {
-                    Guard::enter_owned(self, cache.entries[p].handle.local.clone())
-                } else {
-                    self.register_into(cache)
-                })
-            });
-            match outcome {
-                Ok(Ok(guard)) => return guard,
-                Ok(Err(evicted)) => {
-                    // Unpinned and outside the `RefCell` borrow: dropping
-                    // an evicted entry can run user deferred callbacks via
-                    // `Inner::drop`, which may re-enter `pin` or wait on a
-                    // grace period. Then retry; the sweep just ran, so the
-                    // next iteration pins directly.
-                    drop(evicted);
-                }
-                Err(_) => return self.pin_orphan(),
-            }
-        }
+        self.pin_cached(true)
     }
 
     /// Like [`pin`](Self::pin) but never runs cache-eviction housekeeping,
@@ -787,27 +904,91 @@ impl Collector {
     /// each critical section with a [`housekeep`](Self::housekeep) call at
     /// a point where no lock is held and no guard is live, or abandoned
     /// collectors cached on the thread are only released at thread exit.
+    #[inline]
     pub fn pin_quiet(&self) -> Guard<'_> {
-        // See `pin`: no TLS caching under the model checker.
+        self.pin_cached(false)
+    }
+
+    /// Shared body of [`pin`](Self::pin) (`housekeeping`) and
+    /// [`pin_quiet`](Self::pin_quiet) (not).
+    #[inline]
+    fn pin_cached(&self, housekeeping: bool) -> Guard<'_> {
+        // Model-checking tier: the TLS handle cache is deliberately outside
+        // the model's scope. A cached handle is torn down by the OS
+        // thread-exit TLS destructor, which runs *after* the model thread
+        // has finished — i.e. outside the loomette scheduler — and its
+        // registry unregistration would race the still-scheduled threads on
+        // real time (nondeterministic replay, and a real deadlock if a
+        // paused model thread holds the registry mutex). Orphan pins keep
+        // every registry mutation inside the scheduled body.
         #[cfg(loom)]
         {
+            let _ = housekeeping;
             self.pin_orphan()
         }
         #[cfg(not(loom))]
         {
-            let cached = HANDLES.try_with(|cache| {
-                let mut cache = cache.borrow_mut();
-                let cache = &mut *cache;
+            let hit = SLOT.try_with(|slot| slot.hit(self.id(), housekeeping));
+            match hit {
+                // Safety: a state in the slot is this thread's registration
+                // with the collector the slot names — `self` — and its cache
+                // entry is alive (`CachedHandle::drop` empties the slot
+                // first), so it is registered; `hit` counted the guard.
+                Ok(Some(local)) => unsafe { Guard::enter_counted(self, local) },
+                _ => self.pin_cached_slow(housekeeping),
+            }
+        }
+    }
+
+    /// The slot-miss path of [`pin_cached`](Self::pin_cached): finds or
+    /// creates this thread's cache entry, runs the eviction sweep if
+    /// `housekeeping` and due, and leaves the entry in the slot.
+    #[cfg(not(loom))]
+    #[cold]
+    fn pin_cached_slow(&self, housekeeping: bool) -> Guard<'_> {
+        loop {
+            let outcome = with_tls_cache(|slot, entries| {
                 let id = self.id();
-                if let Some(entry) = cache.entries.iter().find(|e| e.id == id) {
-                    Guard::enter_owned(self, entry.handle.local.clone())
-                } else {
-                    self.register_into(cache)
+                let pos = entries.iter().position(|e| e.id == id);
+                if housekeeping {
+                    // Without the sweep, a long-lived thread would keep
+                    // every collector it ever pinned alive until thread
+                    // exit.
+                    let evicted = sweep_if_due(slot, entries, pos.is_none());
+                    if !evicted.is_empty() {
+                        // Hand them out and retry: the drop must happen
+                        // before our own pin exists (a callback may block
+                        // on a grace period our pin would stall) and
+                        // outside the borrow.
+                        return Err(evicted);
+                    }
                 }
+                // `pos` is still valid on this path: the sweep either did
+                // not run or evicted nothing (else we returned above), so
+                // the entries vec is unchanged.
+                let local = match pos {
+                    Some(p) => Arc::as_ptr(&entries[p].handle.local),
+                    None => self.register_into(entries),
+                };
+                slot.id.set(id);
+                slot.local.set(local);
+                slot.count_guard();
+                Ok(local)
             });
-            match cached {
-                Ok(guard) => guard,
-                Err(_) => self.pin_orphan(),
+            match outcome {
+                // Safety: `local` is this thread's registration with `self`,
+                // held by the cache entry found or made above, and the
+                // guard was counted there.
+                Some(Ok(local)) => return unsafe { Guard::enter_counted(self, local) },
+                Some(Err(evicted)) => {
+                    // Unpinned and outside the `RefCell` borrow: dropping
+                    // an evicted entry can run user deferred callbacks via
+                    // `Inner::drop`, which may re-enter `pin` or wait on a
+                    // grace period. Then retry; the sweep just ran, so the
+                    // next iteration pins directly.
+                    drop(evicted);
+                }
+                None => return self.pin_orphan(),
             }
         }
     }
@@ -818,26 +999,27 @@ impl Collector {
     /// section (no locks held, no guard live — evicted collectors' deferred
     /// callbacks run inline here and may themselves pin, block on a grace
     /// period, or take locks).
+    #[inline]
     pub fn housekeep(&self) {
-        // See `pin`: no TLS cache — and so nothing to sweep — under the
-        // model checker.
+        // See `pin_cached`: no TLS cache — and so nothing to sweep — under
+        // the model checker.
         #[cfg(not(loom))]
-        {
-            let evicted = HANDLES.try_with(|cache| cache.borrow_mut().sweep_if_due(false));
-            if let Ok(evicted) = evicted {
-                // Outside the borrow, as in `pin`.
-                drop(evicted);
-            }
+        if SLOT.try_with(ThreadSlot::tick).unwrap_or(false) {
+            // Due, so skip the cadence check; the evicted entries drop
+            // outside the borrow, as in `pin_cached_slow`.
+            drop(with_tls_cache(|slot, entries| {
+                sweep_if_due(slot, entries, true)
+            }));
         }
     }
 
     /// Registers this thread with the collector and caches the handle.
-    /// Shared miss path of [`pin`](Self::pin)/[`pin_quiet`](Self::pin_quiet).
-    #[cfg_attr(loom, allow(dead_code))] // TLS cache layer is outside the model's scope
-    fn register_into(&self, cache: &mut HandleCache) -> Guard<'_> {
+    /// Returns the new entry's state.
+    #[cfg(not(loom))]
+    fn register_into(&self, entries: &mut Vec<CachedHandle>) -> *const LocalState {
         let handle = self.register();
-        let guard = Guard::enter_owned(self, handle.local.clone());
-        cache.entries.push(CachedHandle {
+        let local = Arc::as_ptr(&handle.local);
+        entries.push(CachedHandle {
             id: self.id(),
             handle,
         });
@@ -848,20 +1030,34 @@ impl Collector {
         // spurious-eviction race.
         // ordering: Relaxed — advisory census; see `sweep_abandoned`.
         self.inner.tls_cached.fetch_add(1, Relaxed);
-        guard
+        local
+    }
+
+    /// Test aid: the calling thread's cached state for this collector — what
+    /// a slot-hit guard borrows — so tests can watch its reference count.
+    #[cfg(test)]
+    pub(crate) fn cached_state(&self) -> Option<Arc<LocalState>> {
+        HANDLES.with(|cache| {
+            let cache = cache.borrow();
+            let entry = cache.iter().find(|e| e.id == self.id());
+            entry.map(|e| e.handle.local.clone())
+        })
     }
 
     /// One-shot registration for contexts where the TLS cache is being (or
     /// has been) destroyed — a thread-exit path, e.g. a deferred callback
     /// fired by the cache's own destructor. The registration is born
-    /// orphaned (it has no [`LocalHandle`]); the guard unregisters it on
-    /// drop.
+    /// orphaned (it has no [`LocalHandle`]; the registry's reference keeps
+    /// it alive); the guard unregisters it on drop.
     fn pin_orphan(&self) -> Guard<'_> {
         let local = self.register_state();
         // ordering: Relaxed — same-thread flag: the guard that consults it
         // lives on this thread (a handle serves one thread at a time).
         local.orphaned.store(true, Relaxed);
-        Guard::enter_owned(self, local)
+        // Safety: just registered with `self` by this thread, and an
+        // orphaned state leaves the registry only when its last guard —
+        // this one — drops.
+        unsafe { Guard::enter(self, Arc::as_ptr(&local)) }
     }
 
     /// Blocks until a full grace period has elapsed: every read-side critical
@@ -912,7 +1108,7 @@ impl Collector {
             let registry = self.inner.registry(shard);
             registered_threads += registry.len();
             for local in registry.iter() {
-                let bag = local.bag.lock().unwrap();
+                let bag = self.inner.bag(local);
                 if !bag.is_empty() {
                     pending_bags += 1;
                     pending_objects += bag.objects();
@@ -939,6 +1135,7 @@ impl Collector {
             registered_threads,
             registry_shards: self.inner.shards.len(),
             registry_locks: self.inner.registry_locks.load(Relaxed),
+            bag_locks: self.inner.bag_locks(),
         }
     }
 
@@ -949,6 +1146,20 @@ impl Collector {
     #[doc(hidden)]
     pub fn handle_count(&self) -> usize {
         Arc::strong_count(&self.inner)
+    }
+
+    /// Atomic read-modify-writes, of any ordering, the calling thread has
+    /// issued through this crate's sync facade so far. Diagnostic, debug
+    /// builds only (always 0 in release and under the model checker): the
+    /// hot-path regression tests assert that pinning does not move it.
+    #[doc(hidden)]
+    pub fn thread_rmw_count() -> u64 {
+        #[cfg(all(not(loom), debug_assertions))]
+        {
+            crate::sync::atomic::thread_rmw_count()
+        }
+        #[cfg(not(all(not(loom), debug_assertions)))]
+        0
     }
 }
 
@@ -1019,7 +1230,10 @@ impl LocalHandle {
     /// the global epoch word — so readers never contend with each other,
     /// however many cores are faulting at once.
     pub fn pin(&self) -> Guard<'_> {
-        Guard::enter_borrowed(&self.collector, &self.local)
+        // Safety: the state is this handle's registration with its own
+        // collector, the handle serves the calling thread, and the guard
+        // borrows the handle, so the state stays registered under it.
+        unsafe { Guard::enter(&self.collector, Arc::as_ptr(&self.local)) }
     }
 
     /// Whether this handle currently has a live guard.
@@ -1037,24 +1251,26 @@ impl LocalHandle {
 
 impl Drop for LocalHandle {
     fn drop(&mut self) {
+        let inner = &self.collector.inner;
         // ordering: Relaxed — owner-thread counter: any guard over this
         // state lives on the dropping thread (the handle is `!Sync`), so
         // there is no concurrent mutation to order against.
         if self.local.guard_count.load(Relaxed) == 0 {
-            self.collector.inner.seal_bag(&self.local);
-            self.collector.inner.unregister(&self.local);
+            inner.seal_bag(&self.local);
+            inner.unregister(self.local.shard, Arc::as_ptr(&self.local));
         } else {
             // Borrow-based guards cannot outlive the handle, but guards
-            // from the TLS-cached `Collector::pin` path hold the state by
-            // `Arc` and can: when thread-exit TLS destruction drops the
-            // cached handle under a live guard stored elsewhere in TLS,
-            // mark the state orphaned so the last guard unregisters it,
-            // then re-check in case that guard dropped concurrently.
+            // from the TLS-cached `Collector::pin` path borrow the state
+            // through the registry's reference and can: when thread-exit
+            // TLS destruction drops the cached handle under a live guard
+            // stored elsewhere in TLS, mark the state orphaned so the last
+            // guard unregisters it, then re-check in case that guard
+            // dropped concurrently.
             // ordering: Relaxed — same-thread flag and counter, as above.
             self.local.orphaned.store(true, Relaxed);
             if self.local.guard_count.load(Relaxed) == 0 {
-                self.collector.inner.seal_bag(&self.local);
-                self.collector.inner.unregister(&self.local);
+                inner.seal_bag(&self.local);
+                inner.unregister(self.local.shard, Arc::as_ptr(&self.local));
             }
         }
     }
@@ -1390,6 +1606,226 @@ mod tests {
         assert_eq!(fired.load(SeqCst), 1);
         // The fallback registration was cleaned up when its guard dropped.
         assert_eq!(other.stats().registered_threads, 0);
+    }
+
+    /// What the calling thread's slot holds: collector id, state pointer,
+    /// live guards.
+    fn slot() -> (usize, *const LocalState, usize) {
+        SLOT.with(|s| (s.id.get(), s.local.get(), s.live_guards.get()))
+    }
+
+    /// Nesting depth of the state the slot points at.
+    fn slot_depth() -> usize {
+        // Safety: a non-null slot pointer is a live cache entry's state.
+        unsafe { (*slot().1).guard_count.load(Relaxed) }
+    }
+
+    /// Two collectors alternated on one thread while the first one's guard
+    /// is still live: each pin replaces the slot, nesting depth and the
+    /// live-guard count stay right, no pin re-registers, and both
+    /// collectors' garbage is collected by unpins alone once the thread is
+    /// guard-free.
+    #[test]
+    fn slot_alternates_between_collectors_under_a_live_guard() {
+        let fired = Arc::new(AtomicUsize::new(0));
+        let a = Collector::with_shards(1);
+        let b = Collector::with_shards(1);
+        a.set_unpin_collect_period(1);
+        b.set_unpin_collect_period(1);
+        let defer_one = |g: &Guard<'_>| {
+            let f = fired.clone();
+            g.defer(move || {
+                f.fetch_add(1, SeqCst);
+            });
+        };
+
+        let ga = a.pin();
+        assert_eq!((slot().0, slot().2), (a.id(), 1));
+        let a_state = slot().1;
+        let gb = b.pin(); // replaces the slot under `ga`
+        assert_eq!((slot().0, slot().2), (b.id(), 2));
+        assert_eq!(slot_depth(), 1);
+        let ga2 = a.pin(); // back to `a`: a slot miss, a cache hit, nested
+        assert_eq!(slot(), (a.id(), a_state, 3));
+        assert_eq!(slot_depth(), 2);
+        assert_eq!(ga2.epoch(), ga.epoch());
+        assert_eq!(a.stats().registered_threads, 1);
+        assert_eq!(b.stats().registered_threads, 1);
+
+        defer_one(&ga);
+        defer_one(&gb);
+        drop(ga2); // inner unpin: `a` stays pinned
+        assert_eq!(slot_depth(), 1);
+        for _ in 0..4 {
+            a.collect();
+        }
+        assert!(a.global_epoch() <= ga.epoch() + 1);
+        drop(gb); // outermost for `b`, but the thread still holds `ga`
+        assert_eq!(slot().2, 1);
+        assert_eq!(fired.load(SeqCst), 0);
+        drop(ga);
+        assert_eq!(slot().2, 0);
+        // Guard-free now: `b`'s skipped collect is pending on its state and
+        // `a`'s unpins collect every time (period 1).
+        for _ in 0..3 {
+            drop(a.pin());
+            drop(b.pin());
+        }
+        assert_eq!(fired.load(SeqCst), 2);
+    }
+
+    /// The slot may point at an abandoned collector's state; evicting that
+    /// entry empties the slot before the state dies, and the next pin goes
+    /// through registration instead of a dangling pointer.
+    #[test]
+    fn evicting_the_slots_collector_empties_the_slot() {
+        let fired = Arc::new(AtomicUsize::new(0));
+        let other = Collector::new();
+        drop(other.pin());
+        {
+            let c = Collector::new();
+            let g = c.pin();
+            let f = fired.clone();
+            g.defer(move || {
+                f.fetch_add(1, SeqCst);
+            });
+            drop(g);
+            assert_eq!(slot().0, c.id());
+        }
+        // `c` lives on in this thread's cache only, and the slot still
+        // points at its state. Evict it without pinning anything.
+        for _ in 0..SWEEP_PERIOD {
+            other.housekeep();
+        }
+        assert_eq!(fired.load(SeqCst), 1);
+        assert_eq!(slot(), (0, ptr::null(), 0));
+        let fresh = Collector::new();
+        let g = fresh.pin();
+        assert_eq!(slot().0, fresh.id());
+        assert_eq!(fresh.stats().registered_threads, 1);
+        drop(g);
+    }
+
+    /// A callback fired by an unpin's own collect runs with that guard
+    /// already uncounted, so it may pin an uncached collector and run the
+    /// sweep — which, racing a registration on another thread, can evict
+    /// the *live* collector's entry the dropping guard borrowed its state
+    /// from (simulated here by inflating the `tls_cached` census). The
+    /// guard must keep the state alive until it has re-armed the pending
+    /// flag; after its drop the state is gone and the next pin
+    /// re-registers.
+    #[test]
+    fn unpin_collect_callback_may_evict_the_guards_own_entry() {
+        const EVICTED_STATE_ALIVE: usize = 1;
+        const EVICTED_STATE_FREED: usize = 2;
+        const NOT_EVICTED: usize = 3;
+        let c = Collector::with_shards(1);
+        drop(c.pin());
+        let state = Arc::downgrade(&c.cached_state().unwrap());
+        let outcome = Arc::new(AtomicUsize::new(0));
+        {
+            let g = c.pin();
+            let (c2, state, outcome) = (c.clone(), state.clone(), outcome.clone());
+            g.defer(move || {
+                // What a sweep reads when other threads register between
+                // its two loads: more cached references than strong ones.
+                c2.inner.tls_cached.fetch_add(8, Relaxed);
+                drop(Collector::new().pin()); // a cache miss: sweeps
+                c2.inner.tls_cached.fetch_sub(8, Relaxed);
+                // A panic here would be swallowed by the bag; report.
+                let seen = if c2.cached_state().is_some() {
+                    NOT_EVICTED
+                } else if state.upgrade().is_some() {
+                    EVICTED_STATE_ALIVE
+                } else {
+                    EVICTED_STATE_FREED
+                };
+                outcome.store(seen, SeqCst);
+            });
+            g.flush(); // arms `collect_pending`: the next unpins collect
+        }
+        // Every unpin here is pending-driven and leaves its own bag queued,
+        // so the one that fires the callback re-arms the flag afterwards —
+        // a store into the state the callback just had unregistered.
+        for _ in 0..8 {
+            if outcome.load(SeqCst) != 0 {
+                break;
+            }
+            let g = c.pin();
+            g.defer(|| {});
+            g.flush();
+        }
+        assert_eq!(
+            outcome.load(SeqCst),
+            EVICTED_STATE_ALIVE,
+            "the dropping guard did not keep its state alive across its callbacks"
+        );
+        assert!(state.upgrade().is_none());
+        assert_eq!(c.stats().registered_threads, 0);
+        assert_eq!(slot().2, 0);
+        drop(c.pin());
+        assert_eq!(c.stats().registered_threads, 1);
+        c.synchronize();
+        let s = c.stats();
+        assert_eq!(s.objects_retired, s.objects_freed);
+    }
+
+    /// A guard from the cached path can outlive the thread's handle cache
+    /// (a `'static` collector, the guard parked in another thread-local
+    /// that is destroyed later). The cache's teardown must leave the
+    /// borrowed state registered and orphaned, and the guard's drop must
+    /// unregister it.
+    #[test]
+    fn cached_guard_outliving_the_cache_unregisters_its_state() {
+        thread_local! {
+            static PARKED: RefCell<Option<Guard<'static>>> = const { RefCell::new(None) };
+        }
+        static COLLECTOR: std::sync::OnceLock<Collector> = std::sync::OnceLock::new();
+        let c = COLLECTOR.get_or_init(Collector::new);
+        thread::spawn(move || {
+            // Touch `PARKED` first: thread-local destructors run in reverse
+            // order of first use, so the handle cache dies before it.
+            PARKED.with(|p| assert!(p.borrow().is_none()));
+            let g = c.pin();
+            g.defer(|| {});
+            PARKED.with(|p| *p.borrow_mut() = Some(g));
+        })
+        .join()
+        .unwrap();
+        assert_eq!(c.stats().registered_threads, 0);
+        c.synchronize();
+        let s = c.stats();
+        assert_eq!((s.objects_retired, s.objects_freed), (1, 1));
+    }
+
+    /// Pins through the slot keep the unpin protocol whole: a
+    /// garbage-bearing unpin seals the thread's bag every time and runs the
+    /// opportunistic collect on every `UNPIN_COLLECT_PERIOD`-th.
+    #[test]
+    fn slot_pins_still_seal_and_collect_on_schedule() {
+        let c = Collector::with_shards(1);
+        drop(c.pin()); // register; every pin below hits the slot
+        for round in 1..=2 {
+            for n in 1..=UNPIN_COLLECT_PERIOD {
+                let g = c.pin();
+                g.defer(|| {});
+                drop(g);
+                // Safety: the slot points at this thread's live entry.
+                assert!(!unsafe { (*slot().1).bag_dirty.load(Relaxed) });
+                let s = c.stats();
+                let collects = (round - 1) + n / UNPIN_COLLECT_PERIOD;
+                assert_eq!(s.epochs_advanced as usize, collects);
+                assert_eq!(
+                    s.pending_objects as u64,
+                    s.objects_retired - s.objects_freed
+                );
+            }
+        }
+        assert_eq!(c.stats().registered_threads, 1);
+        c.synchronize();
+        let s = c.stats();
+        assert_eq!(s.objects_retired, 2 * UNPIN_COLLECT_PERIOD as u64);
+        assert_eq!(s.objects_freed, s.objects_retired);
     }
 
     #[test]

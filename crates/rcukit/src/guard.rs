@@ -1,6 +1,5 @@
 //! RAII read-side critical sections.
 
-use std::cell::Cell;
 use std::fmt;
 use std::marker::PhantomData;
 #[cfg(not(loomette_weaken))]
@@ -8,49 +7,9 @@ use std::sync::atomic::Ordering::Release;
 use std::sync::atomic::Ordering::{Relaxed, SeqCst};
 use std::sync::Arc;
 
-use crate::collector::{pack, unpack, Collector, LocalState};
+use crate::collector::{guard_entered, guard_left, pack, unpack, Collector, LocalState};
 use crate::deferred::{Deferred, RecycleBatch};
 use crate::sync::atomic::fence;
-
-thread_local! {
-    /// Number of live guards on this thread, across all collectors and
-    /// handles (cached or explicitly registered).
-    static LIVE_GUARDS: Cell<usize> = const { Cell::new(0) };
-}
-
-/// How many guards the current thread holds. `Collector::pin` consults this
-/// before running eviction callbacks inline: a callback may block on a grace
-/// period, which can never elapse while this thread stays pinned. Reports
-/// "pinned" when the TLS value is unavailable (thread exit) — the
-/// conservative answer.
-pub(crate) fn live_guards() -> usize {
-    LIVE_GUARDS.try_with(Cell::get).unwrap_or(1)
-}
-
-/// How the guard reaches its per-thread state.
-///
-/// The hot path is `Borrowed`: [`LocalHandle::pin`] hands out a plain
-/// reference, so pin/unpin performs no reference-count update at all. The
-/// TLS-cached [`Collector::pin`] path and the thread-exit orphan path hold
-/// the state by `Arc` instead — that clone is an uncontended RMW on the
-/// thread's own state allocation, never on a line other threads write.
-///
-/// [`LocalHandle::pin`]: crate::LocalHandle::pin
-/// [`Collector::pin`]: crate::Collector::pin
-enum LocalRef<'a> {
-    Borrowed(&'a LocalState),
-    Owned(Arc<LocalState>),
-}
-
-impl LocalRef<'_> {
-    #[inline]
-    fn get(&self) -> &LocalState {
-        match self {
-            LocalRef::Borrowed(l) => l,
-            LocalRef::Owned(l) => l,
-        }
-    }
-}
 
 /// A pinned read-side critical section (the paper's `rcu_read_begin` /
 /// `rcu_read_end` pair).
@@ -62,10 +21,11 @@ impl LocalRef<'_> {
 ///
 /// The guard *borrows* its origin — the [`LocalHandle`] it was pinned
 /// through, or the [`Collector`] for the TLS-cached
-/// [`Collector::pin`](Collector::pin) path — which is what makes pinning
-/// free of shared-line atomics: nothing is cloned, so no reference count on
-/// a cache line shared between threads is touched. It also means a guard
-/// cannot outlive its handle; see [`LocalHandle::pin`] for the
+/// [`Collector::pin`](Collector::pin) path — and the thread's registration
+/// with it, which is what makes pinning free of atomic read-modify-writes:
+/// nothing is cloned, so no reference count is touched, and every word
+/// pin/unpin writes is written by the pinning thread only. It also means a
+/// guard cannot outlive its handle; see [`LocalHandle::pin`] for the
 /// compile-time rejection.
 ///
 /// Guards are re-entrant per thread (nested pins share the outermost epoch)
@@ -76,22 +36,60 @@ impl LocalRef<'_> {
 /// [`LocalHandle::pin`]: crate::LocalHandle::pin
 pub struct Guard<'a> {
     collector: &'a Collector,
-    local: LocalRef<'a>,
+    /// The pinning thread's registration with `collector`, borrowed: the
+    /// shard registry's reference keeps it allocated until it is
+    /// unregistered, which happens only with no guard over it counted (see
+    /// [`Guard::enter`]; the guard's drop takes a reference of its own for
+    /// the callbacks it runs after uncounting itself).
+    local: *const LocalState,
     /// Keeps the guard `!Send + !Sync`; unpinning must happen on the pinning
     /// thread for the epoch protocol to be meaningful.
     _not_send: PhantomData<*mut ()>,
 }
 
 impl<'a> Guard<'a> {
-    /// Publishes `local`'s pinned epoch (outermost pin only). Shared tail
-    /// of the two constructors.
-    fn pin_status(collector: &Collector, local: &LocalState) {
-        let _ = LIVE_GUARDS.try_with(|c| c.set(c.get() + 1));
-        // ordering: Relaxed — owner-thread nesting counter: only this
-        // thread's guards touch it (the handle is `!Sync`), and the collector
-        // never reads it.
-        let prev = local.guard_count.fetch_add(1, Relaxed);
-        if prev == 0 {
+    /// Pins the calling thread through `local`, counting the new guard in
+    /// the thread's live-guard count.
+    ///
+    /// # Safety
+    ///
+    /// `local` must be the calling thread's registration with `collector`
+    /// (nobody else pins through it meanwhile), and must stay in the
+    /// collector's registry until the returned guard has dropped — by a
+    /// borrow of its [`LocalHandle`](crate::LocalHandle), or because the
+    /// handle's drop leaves a state with live guards registered and
+    /// orphaned for the last guard to remove.
+    pub(crate) unsafe fn enter(collector: &'a Collector, local: *const LocalState) -> Guard<'a> {
+        guard_entered();
+        // Safety: forwarded contract; the guard was counted above.
+        unsafe { Self::enter_counted(collector, local) }
+    }
+
+    /// [`enter`](Self::enter) for a caller that has already counted the
+    /// guard in the thread's live-guard count (the `Collector::pin` slot
+    /// path, which is in the thread-local anyway).
+    ///
+    /// # Safety
+    ///
+    /// As [`enter`](Self::enter).
+    #[inline]
+    pub(crate) unsafe fn enter_counted(
+        collector: &'a Collector,
+        local: *const LocalState,
+    ) -> Guard<'a> {
+        let guard = Guard {
+            collector,
+            local,
+            _not_send: PhantomData,
+        };
+        let local = guard.local();
+        // ordering: Relaxed (both) — owner-thread-only nesting counter: only
+        // this thread's guards touch it (a handle serves one thread at a
+        // time), and the collector never reads it. A load and a store, not
+        // an RMW: there is no other writer to be atomic against.
+        let depth = local.guard_count.load(Relaxed);
+        local.guard_count.store(depth + 1, Relaxed);
+        if depth == 0 {
             // Publish our pinned epoch, re-reading the global epoch until it
             // is stable across the store. This guarantees that at some
             // instant after the store the global epoch equalled our pinned
@@ -121,36 +119,21 @@ impl<'a> Guard<'a> {
                 }
             }
         }
+        guard
     }
 
-    /// Pins through a borrowed [`LocalState`] (the [`LocalHandle::pin`]
-    /// hot path: zero reference-count updates).
-    ///
-    /// [`LocalHandle::pin`]: crate::LocalHandle::pin
-    pub(crate) fn enter_borrowed(collector: &'a Collector, local: &'a LocalState) -> Guard<'a> {
-        Self::pin_status(collector, local);
-        Guard {
-            collector,
-            local: LocalRef::Borrowed(local),
-            _not_send: PhantomData,
-        }
-    }
-
-    /// Pins through an owned [`LocalState`] (the TLS-cached
-    /// [`Collector::pin`](Collector::pin) and orphan paths).
-    pub(crate) fn enter_owned(collector: &'a Collector, local: Arc<LocalState>) -> Guard<'a> {
-        Self::pin_status(collector, &local);
-        Guard {
-            collector,
-            local: LocalRef::Owned(local),
-            _not_send: PhantomData,
-        }
+    /// The thread's registration this guard pins through.
+    #[inline]
+    fn local(&self) -> &LocalState {
+        // Safety: per `enter`'s contract the state stays registered — and
+        // so allocated — while this guard is live.
+        unsafe { &*self.local }
     }
 
     /// The epoch this guard is pinned at.
     pub fn epoch(&self) -> u64 {
         // ordering: Relaxed — reading our own thread's status word.
-        unpack(self.local.get().status.load(Relaxed))
+        unpack(self.local().status.load(Relaxed))
     }
 
     /// The collector this guard is pinned against.
@@ -183,7 +166,7 @@ impl<'a> Guard<'a> {
         // no byte estimate (see `CollectorStats`).
         self.collector
             .inner
-            .defer(self.local.get(), Deferred::new(f), 1, 0);
+            .defer(self.local(), Deferred::new(f), 1, 0);
     }
 
     /// Retires a heap allocation: after a grace period, `ptr` is reclaimed
@@ -199,7 +182,7 @@ impl<'a> Guard<'a> {
         debug_assert!(!ptr.is_null());
         let addr = ptr as usize;
         self.collector.inner.defer(
-            self.local.get(),
+            self.local(),
             Deferred::new(move || {
                 // Safety: per the contract above, this is the sole owner of
                 // the allocation once the grace period has elapsed.
@@ -240,7 +223,7 @@ impl<'a> Guard<'a> {
     ) {
         let objects = batch.len();
         self.collector.inner.defer(
-            self.local.get(),
+            self.local(),
             Deferred::recycle(recycler, batch),
             objects,
             bytes,
@@ -251,29 +234,31 @@ impl<'a> Guard<'a> {
     /// queue so another thread's `collect`/`synchronize` can reclaim them
     /// without waiting for this guard to drop.
     pub fn flush(&self) {
-        if self.collector.inner.seal_bag(self.local.get()) {
+        if self.collector.inner.seal_bag(self.local()) {
             // The local bag is empty now, so the unpin's `had_garbage`
             // check won't see this garbage; arm the pending flag so the
             // next guard-free unpin still collects it (as `Inner::defer`
             // does for its full/stale-bag seals).
             // ordering: Relaxed — owner-thread flag: only this thread's
             // guards read or write it.
-            self.local.get().collect_pending.store(true, Relaxed);
+            self.local().collect_pending.store(true, Relaxed);
         }
     }
 }
 
 impl Drop for Guard<'_> {
+    #[inline]
     fn drop(&mut self) {
-        let _ = LIVE_GUARDS.try_with(|c| c.set(c.get().saturating_sub(1)));
-        let local = self.local.get();
-        // ordering: Relaxed — owner-thread nesting counter (see
-        // `pin_status`).
-        let prev = local.guard_count.fetch_sub(1, Relaxed);
-        debug_assert!(prev >= 1);
-        if prev == 1 {
-            // `seal_bag` checks emptiness itself, so the bag lock is taken
-            // exactly once on this hot path.
+        let live_guards = guard_left();
+        let local = self.local();
+        // ordering: Relaxed (both) — owner-thread-only nesting counter (see
+        // `enter_counted`): a load and a store, no RMW.
+        let depth = local.guard_count.load(Relaxed);
+        debug_assert!(depth >= 1);
+        local.guard_count.store(depth - 1, Relaxed);
+        if depth == 1 {
+            // `seal_bag` checks the owner-thread `bag_dirty` mirror itself,
+            // so an unpin that retired nothing takes no lock here.
             let had_garbage = self.collector.inner.seal_bag(local);
             // ordering: Release — ends the critical section: pairs with the
             // advance scan's Acquire load, so every read this section made
@@ -287,16 +272,20 @@ impl Drop for Guard<'_> {
             // find the resulting message-passing violation.
             #[cfg(loomette_weaken)]
             local.status.store(0, Relaxed);
+            // An orphaned state (no handle left) is unregistered by its
+            // last guard. The registry's reference was what kept the state
+            // allocated under this guard's borrow, so hold it to the end of
+            // this block, past the last use of `local`.
             // ordering: Relaxed — same-thread flag: set by this thread's own
             // handle drop or orphan pin.
-            if local.orphaned.load(Relaxed) {
-                if let LocalRef::Owned(local) = &self.local {
-                    self.collector.inner.unregister(local);
-                }
-            }
+            let _registration = if local.orphaned.load(Relaxed) {
+                self.collector.inner.unregister(local.shard, local)
+            } else {
+                None
+            };
             // Opportunistic advance + reclaim keeps garbage bounded for
             // writer threads without a dedicated reclaimer. Gated on the
-            // thread holding no guard (ours is already decremented):
+            // thread holding no guard (ours is already uncounted):
             // reclaim fires user callbacks inline, and a callback that
             // blocks on a grace period — of any collector this thread is
             // still pinned on — would never return.
@@ -321,18 +310,38 @@ impl Drop for Guard<'_> {
             //   (< period) unpins waits for another trigger (any handle's
             //   due collect, queue pressure, or an explicit
             //   collect/synchronize).
-            if live_guards() == 0 {
+            if live_guards == 0 {
                 // The flag is consumed up front and only ever re-SET after
                 // the collect, never cleared: a callback fired inside
                 // `collect()` may re-enter this collector, defer, and arm
                 // the flag for its own freshly sealed bag — a blind
                 // `store(remaining)` with the pre-callback snapshot would
                 // clobber that and strand the bag.
-                // ordering: Relaxed — owner-thread flag (see `flush`); the
-                // RMW is for the consume-then-re-arm shape, not for
-                // cross-thread ordering.
-                let pending = local.collect_pending.swap(false, Relaxed);
+                // ordering: Relaxed (both) — owner-thread-only flag (see
+                // `flush`): only this thread's guards and its own `defer`
+                // read or write it, so consume-then-re-arm needs no RMW —
+                // a load, and a store only when it was set.
+                let pending = local.collect_pending.load(Relaxed);
+                if pending {
+                    local.collect_pending.store(false, Relaxed);
+                }
                 if pending || (had_garbage && self.collector.inner.unpin_collect_due(local)) {
+                    // The callbacks `collect()` fires run with this guard
+                    // already uncounted, so one that pins another collector
+                    // may run this thread's cache sweep, and a sweep racing
+                    // a registration elsewhere can evict a *live*
+                    // collector's entry (`sweep_abandoned`) — ours: its
+                    // handle then sees `guard_count == 0` and unregisters
+                    // the state. Own a reference across the callbacks so
+                    // the re-arm store below still has a state to write;
+                    // this is the collect path, never the empty unpin.
+                    // Safety: `self.local` is `Arc::as_ptr` of a state the
+                    // registry still holds (`enter`'s contract), so the
+                    // count is at least one.
+                    let _alive = unsafe {
+                        Arc::increment_strong_count(self.local);
+                        Arc::from_raw(self.local)
+                    };
                     let (_, remaining) = self.collector.inner.collect();
                     if remaining && pending {
                         // Only the pending chain re-arms on an incomplete
@@ -341,7 +350,7 @@ impl Drop for Guard<'_> {
                         // unpins alone). Throttled collects instead rely on
                         // the steady unpin stream that triggered them.
                         // ordering: Relaxed — owner-thread flag, as above.
-                        self.local.get().collect_pending.store(true, Relaxed);
+                        local.collect_pending.store(true, Relaxed);
                     }
                 }
             } else if had_garbage {
@@ -533,6 +542,65 @@ mod tests {
             drop(c.pin());
         }
         assert_eq!(c.handle_count(), handles_before);
+    }
+
+    /// The read side the page-fault path uses — `Collector::pin` hitting
+    /// the thread slot, and the guard's drop — performs no atomic
+    /// read-modify-write of any ordering (through the crate's atomic
+    /// facade, which is all the census sees), takes neither the thread's
+    /// bag mutex nor a registry lock, and leaves both std `Arc` counts it
+    /// could touch — the collector's and the thread state's — alone: per
+    /// pin it costs plain loads and stores of words only this thread
+    /// writes, one fence, and two reads of the epoch word.
+    #[test]
+    fn slot_pins_perform_no_rmw_and_take_no_lock() {
+        let c = Collector::new();
+        drop(c.pin()); // register, cache, fill the slot
+        let handles_before = c.handle_count();
+        // The RMW census sees only the crate's atomic facade, not a std
+        // `Arc`; watch the thread state's own count for a clone per pin.
+        let state = c.cached_state().unwrap();
+        let state_refs_before = Arc::strong_count(&state);
+        let before = c.stats();
+        let rmws_before = Collector::thread_rmw_count();
+        for n in 0..10_000 {
+            let g = c.pin();
+            std::hint::black_box(g.epoch());
+            if n == 5_000 {
+                assert_eq!(
+                    Arc::strong_count(&state),
+                    state_refs_before,
+                    "a cache-hit guard holds a reference to the thread state"
+                );
+            }
+            drop(g);
+        }
+        let rmws = Collector::thread_rmw_count() - rmws_before;
+        let after = c.stats();
+        assert_eq!(rmws, 0, "cache-hit pins performed atomic RMWs");
+        assert_eq!(c.handle_count(), handles_before);
+        assert_eq!(Arc::strong_count(&state), state_refs_before);
+        // The second `stats()` call's own acquisitions (debug builds count;
+        // release builds report 0): one registry lock per shard, one bag
+        // lock per registered thread. The pins in between added none.
+        let (per_stats_registry, per_stats_bags) = if cfg!(debug_assertions) {
+            (
+                after.registry_shards as u64,
+                after.registered_threads as u64,
+            )
+        } else {
+            (0, 0)
+        };
+        assert_eq!(
+            after.registry_locks - before.registry_locks,
+            per_stats_registry,
+            "cache-hit pins acquired a registry lock"
+        );
+        assert_eq!(
+            after.bag_locks - before.bag_locks,
+            per_stats_bags,
+            "cache-hit pins with nothing retired locked the thread's bag"
+        );
     }
 
     /// Unpinning must not fire deferred callbacks while the thread still

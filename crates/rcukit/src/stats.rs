@@ -58,6 +58,11 @@ pub struct CollectorStats {
     /// removed). Reader pin/unpin never moves it; the hot-path regression
     /// test asserts exactly that.
     pub registry_locks: u64,
+    /// Diagnostic: total acquisitions of the registered threads' bag
+    /// mutexes since creation (`defer`, bag seals, and `stats` itself —
+    /// one per registered thread per call). Debug builds only, like
+    /// `registry_locks`. An unpin that retired nothing never moves it.
+    pub bag_locks: u64,
 }
 
 impl CollectorStats {

@@ -10,14 +10,17 @@
 //! synchronized in ways the scheduler does not need to interleave.
 //!
 //! In normal builds the atomic types are thin wrappers over `std`'s that
-//! additionally maintain a **debug-only census of SeqCst read-modify-writes**
-//! (see [`atomic::seqcst_rmw_count`]). The epoch protocol's invariant after
-//! the ordering audit is that no atomic *operation* uses `SeqCst` — every
-//! remaining sequentially consistent point is an explicit
-//! [`atomic::fence`] — and in particular the read-side pin/unpin path
-//! performs zero SeqCst RMWs. The pin-flatness regression test asserts
-//! that via this census. Release builds compile the census away; the
-//! wrappers are `#[repr(transparent)]` and fully inlined.
+//! additionally maintain a **debug-only census of read-modify-writes**: a
+//! process-wide count of the `SeqCst` ones (see
+//! [`atomic::seqcst_rmw_count`]) and a per-thread count of RMWs of *any*
+//! ordering (see [`atomic::thread_rmw_count`]). The epoch protocol's
+//! invariant after the ordering audit is that no atomic *operation* uses
+//! `SeqCst` — every remaining sequentially consistent point is an explicit
+//! [`atomic::fence`] — and the read-side pin/unpin path performs no RMW at
+//! all: every word it writes is written by its owning thread only. The
+//! pin-flatness regression tests assert both via this census. Release
+//! builds compile the census away; the wrappers are `#[repr(transparent)]`
+//! and fully inlined.
 //!
 //! [`loomette`]: https://docs.rs/loom (API-compatible subset, vendored
 //! in-tree as `crates/loomette` because this build environment is offline)
@@ -48,13 +51,32 @@ pub(crate) mod atomic {
         SEQCST_RMWS.load(Ordering::Relaxed)
     }
 
-    /// Tallies one RMW if it was issued with `SeqCst` (debug builds).
+    #[cfg(debug_assertions)]
+    thread_local! {
+        /// Debug-only census of atomic read-modify-writes the *current
+        /// thread* issued through this facade, whatever their ordering.
+        /// Per thread, so a test can assert "this loop did none" while
+        /// other tests' writers run beside it.
+        static THREAD_RMWS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// The calling thread's RMW census (any ordering). Debug builds only.
+    #[cfg(debug_assertions)]
+    pub(crate) fn thread_rmw_count() -> u64 {
+        THREAD_RMWS.try_with(std::cell::Cell::get).unwrap_or(0)
+    }
+
+    /// Tallies one RMW (debug builds): always in the calling thread's
+    /// census, and in the process-wide one if it was issued with `SeqCst`.
     #[inline]
     fn note_rmw(order: Ordering) {
         #[cfg(debug_assertions)]
-        if order == Ordering::SeqCst {
-            // ordering: Relaxed — diagnostic counter.
-            SEQCST_RMWS.fetch_add(1, Ordering::Relaxed);
+        {
+            let _ = THREAD_RMWS.try_with(|n| n.set(n.get() + 1));
+            if order == Ordering::SeqCst {
+                // ordering: Relaxed — diagnostic counter.
+                SEQCST_RMWS.fetch_add(1, Ordering::Relaxed);
+            }
         }
         #[cfg(not(debug_assertions))]
         let _ = order;

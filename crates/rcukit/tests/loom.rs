@@ -64,6 +64,16 @@ fn loom_retire_publish_unpin_collect() {
 }
 
 #[test]
+fn loom_deferring_reader_unpin_seals() {
+    let runs = loomette::Explorer::default().explore(scenarios::deferring_reader_unpin_seals);
+    eprintln!("deferring_reader_unpin_seals: {runs} schedules");
+    assert!(
+        runs > MIN_SCHEDULES,
+        "exploration degenerated to {runs} schedule(s)"
+    );
+}
+
+#[test]
 fn loom_guard_free_callback_gate() {
     let runs = loomette::Explorer::default().explore(scenarios::guard_free_callback_gate);
     eprintln!("guard_free_callback_gate: {runs} schedules");

@@ -35,6 +35,13 @@ fn stress_retire_publish_unpin_collect() {
 }
 
 #[test]
+fn stress_deferring_reader_unpin_seals() {
+    for _ in 0..ITERS {
+        scenarios::deferring_reader_unpin_seals();
+    }
+}
+
+#[test]
 fn stress_guard_free_callback_gate() {
     for _ in 0..ITERS {
         scenarios::guard_free_callback_gate();

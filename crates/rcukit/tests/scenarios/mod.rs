@@ -224,6 +224,56 @@ pub fn retire_publish_unpin_collect() {
     assert!(!freed[2].load(SeqCst), "live object was reclaimed");
 }
 
+/// The `bag_dirty`-gated seal: a pinned reader retires an object and
+/// unpins while a second thread drives the epoch. The unpin consults the
+/// reader's owner-thread mirror of "my bag holds something" instead of
+/// locking the bag, so the mirror must be right in every schedule: the
+/// first unpin has to move the retirement into the shard queue (where
+/// anyone's reclaim can reach it) and the second, clean unpin has to leave
+/// the bag alone. The reader's handle stays alive across the final drain,
+/// so only the unpin-time seal can have handed the retirement over — a
+/// retirement stranded in the local bag fails the drain.
+pub fn deferring_reader_unpin_seals() {
+    let c = Collector::with_shards(1);
+    let freed = Arc::new(AtomicBool::new(false));
+
+    // The advancer: grace-period machinery only, racing the reader's pin,
+    // retire and unpin.
+    let advancer = {
+        let c = c.clone();
+        spawn(move || {
+            for _ in 0..2 {
+                c.collect();
+            }
+        })
+    };
+
+    let h = c.register();
+    {
+        let g = h.pin();
+        let flag = Arc::clone(&freed);
+        g.defer(move || flag.store(true, SeqCst));
+        assert!(
+            !freed.load(SeqCst),
+            "retirement fired under the retiring reader's own pin"
+        );
+    }
+    // A clean critical section: nothing retired, nothing to seal.
+    drop(h.pin());
+    advancer.join().unwrap();
+    for _ in 0..3 {
+        c.collect();
+    }
+    assert!(
+        freed.load(SeqCst),
+        "unpin left the retirement in the reader's local bag"
+    );
+    let s = c.stats();
+    assert_eq!((s.objects_retired, s.objects_freed), (1, 1));
+    assert_eq!(s.pending_bags, 0);
+    drop(h);
+}
+
 /// The stalled-reader window on the epoch backend: the main thread pins a
 /// guard *before* the writer exists and holds it across the writer's whole
 /// retire-and-collect lifetime. No schedule may free the retirement while
