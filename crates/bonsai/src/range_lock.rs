@@ -50,10 +50,26 @@
 //!    takes one span at a time, and the span-widening retry loops release
 //!    before re-acquiring — so no hold-and-wait on spans either.
 //! 3. **Release never blocks**: it removes the span one stripe at a time
-//!    (ascending) and notifies each stripe's condvar. Incremental removal
-//!    is sound because the mutation the span protected is already
-//!    complete — a waiter admitted after seeing a partially removed span
-//!    races nothing.
+//!    (ascending) and wakes each stripe that has a parked waiter.
+//!    Incremental removal is sound because the mutation the span
+//!    protected is already complete — a waiter admitted after seeing a
+//!    partially removed span races nothing.
+//!
+//! # The gated wake
+//!
+//! `Condvar::notify_all` is a `futex` syscall even with nobody parked. A
+//! release therefore wakes a stripe only if `Stripe::waiting` is non-zero,
+//! and reads that count *inside the stripe-mutex critical section that
+//! removes the span*. The mutex hand-off is the whole lost-wakeup
+//! argument: a waiter checks for overlap, increments `waiting` and parks
+//! in one critical section of that mutex (the wait releases it
+//! atomically), so against the releaser's there are two orders only.
+//! Releaser first: the waiter's check runs after the span left this
+//! stripe and does not park on it. Waiter first: its increment
+//! happens-before the releaser's read, the releaser notifies after
+//! unlocking, and the waiter is already on the condvar's queue. Reading
+//! the count *before* taking the mutex would open the window between a
+//! waiter's check and its park (the model tier's meta-test deadlocks it).
 //!
 //! Writers also never *pin* while blocked: the writer session pins only
 //! after `acquire` returns (see `with_write_session` in `tree.rs`), so a
@@ -74,7 +90,7 @@ use std::sync::atomic::Ordering::Relaxed;
 use std::thread;
 
 use crate::sync::atomic::AtomicU64;
-use crate::sync::{Condvar, Mutex};
+use crate::sync::{Condvar, Mutex, MutexGuard};
 
 /// Bytes per address slab (64 KiB): large enough that a typical mutation
 /// span (a few pages) covers one or two slabs, small enough that
@@ -83,7 +99,7 @@ use crate::sync::{Condvar, Mutex};
 const SLAB_BYTES: u64 = 64 * 1024;
 
 /// Upper bound on stripes, so a span's covering-stripe set fits a `u64`
-/// bitmask (and the acquire path's guard array stays stack-cheap).
+/// bitmask.
 const MAX_STRIPES: usize = 64;
 
 /// One stripe's mutable state: the spans intersecting its slabs, plus the
@@ -104,13 +120,14 @@ struct Table<S> {
 /// One stripe: its table, its waiters, and its park counter.
 struct Stripe<S> {
     table: Mutex<Table<S>>,
-    /// Signalled on every release of a span covering this stripe; waiters
-    /// re-run their full overlap check.
+    /// Signalled when a span covering this stripe is released while
+    /// `waiting` is non-zero; waiters re-run their full overlap check.
     released: Condvar,
-    /// Threads currently parked in [`RangeLocks::acquire`] on *this
-    /// stripe's* condvar. Lets tests rendezvous with a contender
-    /// deterministically — polling the stripe it actually parks on, not a
-    /// table-wide aggregate — instead of sleeping.
+    /// Threads parked in [`RangeLocks::acquire`] on *this stripe's*
+    /// condvar. Incremented and decremented under the stripe mutex, and
+    /// read under it by a release deciding whether to wake (see "The gated
+    /// wake" in the module docs). Tests also poll it to rendezvous with a
+    /// contender on the stripe it actually parks on, instead of sleeping.
     waiting: AtomicU64,
 }
 
@@ -123,6 +140,11 @@ pub(crate) struct RangeLocks<S> {
     /// at least once. Tests assert overlap ⇒ contention and disjoint ⇒
     /// none (stripe aliasing between disjoint spans never parks).
     contended: AtomicU64,
+    /// Diagnostic: condvar notifications issued by releases. An
+    /// uncontended release must never move it. Debug builds only, like
+    /// rcukit's `bag_locks`.
+    #[cfg(debug_assertions)]
+    wakes: AtomicU64,
     /// Creates a scratch on a pool miss (cold path — the pool serves the
     /// steady state). A factory rather than `S: Default` so every scratch
     /// of one manager can share family-wide backing state — in practice
@@ -168,6 +190,8 @@ impl<S> RangeLocks<S> {
                 })
                 .collect(),
             contended: AtomicU64::new(0),
+            #[cfg(debug_assertions)]
+            wakes: AtomicU64::new(0),
             make: Box::new(make),
         }
     }
@@ -198,75 +222,78 @@ impl<S> RangeLocks<S> {
     /// Acquires an exclusive lock on the span `[start, end)`, blocking
     /// while any held span overlaps it. Returns a RAII guard carrying a
     /// pooled scratch; dropping it releases the span and wakes waiters.
+    /// The cost is proportional to the stripes the span covers, not to
+    /// the table's size.
     ///
     /// `start < end` is required (empty spans could not exclude anything).
     pub(crate) fn acquire(&self, start: u64, end: u64) -> RangeWriteGuard<'_, S> {
         debug_assert!(start < end, "empty or inverted lock span");
         let mask = self.stripe_mask(start, end);
         let mut waited = false;
-        // One slot per stripe; only the covering stripes' slots are used.
-        // Ascending index order throughout — the total order that makes
-        // multi-stripe acquisition deadlock-free.
-        let mut guards: [Option<crate::sync::MutexGuard<'_, Table<S>>>; MAX_STRIPES] =
-            std::array::from_fn(|_| None);
-        'retry: loop {
-            let mut bits = mask;
-            while bits != 0 {
-                let idx = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let table = self.stripes[idx].table.lock().unwrap();
-                if Self::overlaps(&table.held, start, end) {
-                    // Conflict: drop the lower stripes' locks, then park on
-                    // this stripe — the conflicting span is recorded here,
-                    // so its release must take this stripe's mutex and will
-                    // signal this condvar; holding the mutex from the check
-                    // to the wait closes the lost-wakeup window.
-                    for g in guards.iter_mut() {
-                        *g = None;
+        loop {
+            match self.grant(mask, start, end) {
+                Ok(mut lowest) => {
+                    let scratch = lowest.pool.pop().unwrap_or_else(|| (self.make)());
+                    drop(lowest);
+                    if waited {
+                        // ordering: Relaxed — diagnostic counter.
+                        self.contended.fetch_add(1, Relaxed);
                     }
+                    return RangeWriteGuard {
+                        locks: self,
+                        start,
+                        mask,
+                        scratch: Some(scratch),
+                    };
+                }
+                Err((idx, table)) => {
+                    // Conflict on stripe `idx`, whose mutex is the only one
+                    // still held. Park on that stripe: the conflicting span
+                    // is recorded there, so its release must take this
+                    // mutex, and holding it from the check to the wait
+                    // closes the lost-wakeup window (module docs).
                     waited = true;
                     let stripe = &self.stripes[idx];
-                    // ordering: Relaxed (both) — test-rendezvous counter;
-                    // the waiter state that matters for correctness lives
-                    // in the condvar/mutex, and the polling test only needs
-                    // eventual visibility of the count.
+                    // ordering: Relaxed (both) — every access to `waiting`
+                    // that matters sits inside a critical section of this
+                    // stripe's mutex, which orders them.
                     stripe.waiting.fetch_add(1, Relaxed);
-                    drop(stripe.released.wait(table).unwrap());
+                    let table = stripe.released.wait(table).unwrap();
                     stripe.waiting.fetch_sub(1, Relaxed);
-                    continue 'retry;
-                }
-                guards[idx] = Some(table);
-            }
-            // No covering stripe holds an overlapping span, and we hold
-            // every covering stripe's mutex, so that is simultaneously
-            // true: record the span everywhere and borrow a scratch from
-            // the lowest stripe's pool.
-            let mut scratch = None;
-            let mut bits = mask;
-            while bits != 0 {
-                let idx = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let table = guards[idx].as_mut().expect("covering stripe not locked");
-                let pos = table.held.partition_point(|&(s, _)| s < start);
-                table.held.insert(pos, (start, end));
-                if scratch.is_none() {
-                    scratch = Some(table.pool.pop().unwrap_or_else(|| (self.make)()));
+                    drop(table);
                 }
             }
-            for g in guards.iter_mut() {
-                *g = None;
-            }
-            if waited {
-                // ordering: Relaxed — diagnostic counter.
-                self.contended.fetch_add(1, Relaxed);
-            }
-            return RangeWriteGuard {
-                locks: self,
-                start,
-                mask,
-                scratch,
-            };
         }
+    }
+
+    /// One grant attempt over the stripes in `bits`: locks the lowest,
+    /// checks it for overlap, recurses into the rest while holding it, and
+    /// records the span on the way back out — each stripe's record is
+    /// written while every covering stripe below it is still locked and
+    /// after every one above it passed its check. Returns the lowest
+    /// stripe's guard (span recorded in every stripe of `bits`), or the
+    /// conflicting stripe's index and guard with every other mutex
+    /// released and nothing recorded. One frame per covering stripe: one
+    /// for the common single-slab span.
+    #[allow(clippy::type_complexity)]
+    fn grant(
+        &self,
+        bits: u64,
+        start: u64,
+        end: u64,
+    ) -> Result<MutexGuard<'_, Table<S>>, (usize, MutexGuard<'_, Table<S>>)> {
+        let idx = bits.trailing_zeros() as usize;
+        let mut table = self.stripes[idx].table.lock().unwrap();
+        if Self::overlaps(&table.held, start, end) {
+            return Err((idx, table));
+        }
+        let rest = bits & (bits - 1);
+        if rest != 0 {
+            drop(self.grant(rest, start, end)?);
+        }
+        let pos = table.held.partition_point(|&(s, _)| s < start);
+        table.held.insert(pos, (start, end));
+        Ok(table)
     }
 
     /// Whether any span in a stripe's sorted held list intersects
@@ -303,6 +330,17 @@ impl<S> RangeLocks<S> {
         self.contended.load(Relaxed)
     }
 
+    /// Condvar notifications issued by releases so far (0 in release
+    /// builds, which do not count them).
+    #[cfg(test)]
+    pub(crate) fn wakes(&self) -> u64 {
+        // ordering: Relaxed — diagnostic counter.
+        #[cfg(debug_assertions)]
+        return self.wakes.load(Relaxed);
+        #[cfg(not(debug_assertions))]
+        0
+    }
+
     /// Threads currently parked on stripe `idx`'s condvar (test rendezvous
     /// aid — poll the stripe a contender actually parks on).
     #[cfg(test)]
@@ -319,19 +357,18 @@ impl<S> RangeLocks<S> {
         self.stripe_mask(start, end).trailing_zeros() as usize
     }
 
-    /// The largest `capacity()` among pooled scratches across all stripes,
-    /// via `probe`. Test aid for the allocation-diet regression; spans
-    /// currently held (and their lent scratches) are not visible to it, so
-    /// call it only while no writer is active.
-    pub(crate) fn max_pooled(&self, probe: impl Fn(&S) -> usize) -> usize {
-        self.stripes
-            .iter()
-            .map(|stripe| {
-                let table = stripe.table.lock().unwrap();
-                table.pool.iter().map(&probe).max().unwrap_or(0)
-            })
-            .max()
-            .unwrap_or(0)
+    /// Folds `f` over every pooled scratch across all stripes. Test and
+    /// audit aid; spans currently held (and their lent scratches) are not
+    /// visible to it, so call it only while no writer is active.
+    pub(crate) fn fold_pooled<A>(&self, init: A, mut f: impl FnMut(A, &S) -> A) -> A {
+        let mut acc = init;
+        for stripe in self.stripes.iter() {
+            let table = stripe.table.lock().unwrap();
+            for scratch in &table.pool {
+                acc = f(acc, scratch);
+            }
+        }
+        acc
     }
 }
 
@@ -358,8 +395,8 @@ impl<S> RangeWriteGuard<'_, S> {
 impl<S> Drop for RangeWriteGuard<'_, S> {
     fn drop(&mut self) {
         // Remove the span stripe by stripe, ascending, returning the
-        // scratch to the lowest stripe's pool and waking each stripe's
-        // waiters. No two stripe mutexes are held at once; incremental
+        // scratch to the lowest stripe's pool and waking each stripe that
+        // has waiters. No two stripe mutexes are held at once; incremental
         // removal is sound because the protected mutation is already done
         // (see the module docs).
         //
@@ -374,7 +411,7 @@ impl<S> Drop for RangeWriteGuard<'_, S> {
             let idx = bits.trailing_zeros() as usize;
             bits &= bits - 1;
             let stripe = &self.locks.stripes[idx];
-            {
+            let parked = {
                 let mut table = stripe.table.lock().unwrap();
                 let pos = table.held.partition_point(|&(s, _)| s < self.start);
                 debug_assert!(
@@ -385,11 +422,21 @@ impl<S> Drop for RangeWriteGuard<'_, S> {
                 if let Some(s) = scratch.take() {
                     table.pool.push(s);
                 }
+                // ordering: Relaxed — read under the stripe mutex, which
+                // every waiter holds from its overlap check to its park:
+                // a waiter that saw this span has already incremented
+                // (the gated wake, module docs).
+                stripe.waiting.load(Relaxed) != 0
+            };
+            if parked {
+                // Wake every waiter parked on this stripe: which spans
+                // became acquirable depends on geometry only the waiters
+                // themselves can re-check.
+                stripe.released.notify_all();
+                // ordering: Relaxed — diagnostic counter.
+                #[cfg(debug_assertions)]
+                self.locks.wakes.fetch_add(1, Relaxed);
             }
-            // Wake every waiter parked on this stripe: which spans became
-            // acquirable depends on geometry only the waiters themselves
-            // can re-check.
-            stripe.released.notify_all();
         }
     }
 }
@@ -468,10 +515,14 @@ mod tests {
             thread::yield_now();
         }
         assert!(!entered.load(Seq), "tail-slab overlap granted concurrently");
+        assert_eq!(locks.wakes(), 0, "woke a stripe before any release");
         drop(held);
         t.join().unwrap();
         assert!(entered.load(Seq));
         assert_eq!(locks.contended_acquires(), 1);
+        // The release covered three stripes and woke only the one with a
+        // parked waiter; the contender's own release found nobody parked.
+        assert_eq!(locks.wakes(), u64::from(cfg!(debug_assertions)));
     }
 
     /// Two multi-stripe spans whose slabs alias the same stripe pair in
@@ -524,10 +575,32 @@ mod tests {
         // Parked means not granted: `entered` can only be set after the
         // wait completes, which needs our release.
         assert!(!entered.load(Seq), "overlapping span granted concurrently");
+        assert_eq!(locks.wakes(), 0, "woke a stripe before any release");
         drop(held);
+        // Parked, so the release saw `waiting != 0` under the stripe mutex
+        // and woke it: the contender is admitted.
         t.join().unwrap();
         assert!(entered.load(Seq));
         assert_eq!(locks.contended_acquires(), 1);
+        assert_eq!(locks.wakes(), u64::from(cfg!(debug_assertions)));
+    }
+
+    /// The gated wake's saving: with nobody parked, a release notifies no
+    /// condvar — one-stripe spans, multi-stripe spans and the full range a
+    /// fork takes alike.
+    #[test]
+    fn uncontended_releases_issue_no_wakes() {
+        let locks: RangeLocks<()> = RangeLocks::with_stripes(4, Default::default);
+        for i in 0..10_000u64 {
+            drop(locks.acquire(i * 0x1000, i * 0x1000 + 0x1000));
+            if i % 64 == 0 {
+                drop(locks.acquire(i * 0x1000, i * 0x1000 + 2 * SLAB_BYTES));
+                drop(locks.acquire(0, u64::MAX));
+            }
+        }
+        assert_eq!(locks.wakes(), 0);
+        assert_eq!(locks.contended_acquires(), 0);
+        assert_eq!(locks.held_records(), 0);
     }
 
     #[test]
@@ -538,7 +611,7 @@ mod tests {
             g.scratch().reserve(1024);
         }
         assert!(
-            locks.max_pooled(Vec::capacity) >= 1024,
+            locks.fold_pooled(0, |max, s| max.max(s.capacity())) >= 1024,
             "scratch not pooled"
         );
         {

@@ -217,7 +217,7 @@ where
     /// writer is active.
     #[doc(hidden)]
     pub fn writer_scratch_capacity(&self) -> usize {
-        self.locks.max_pooled(Scratch::<V>::capacity)
+        self.locks.fold_pooled(0, |max, s| max.max(s.capacity()))
     }
 
     /// Number of range-lock acquisitions that had to wait for an
@@ -247,7 +247,41 @@ where
     /// no writer is active (lent scratches are invisible to the probe).
     #[doc(hidden)]
     pub fn writer_arena_chunks(&self) -> usize {
-        self.locks.max_pooled(Scratch::<V>::arena_chunks)
+        self.locks
+            .fold_pooled(0, |max, s| max.max(s.arena_chunks()))
+    }
+
+    /// Audits a whole fork family: each lineage's tree invariants, the
+    /// reference counts (`BonsaiTree::check_family_invariants`), and the
+    /// arena family's block ledger — blocks carved, minus blocks resting
+    /// on the shelf and on every live scratch's private stack and shared
+    /// list, must equal the distinct nodes the lineages reach, so a
+    /// retired block that never came back (or came back twice) shows.
+    /// Panics on violation. Test/debug aid: `family` must be *every* live
+    /// lineage of one family, no writer active, and the backend drained
+    /// (`synchronize`) so no retirement is in flight.
+    #[doc(hidden)]
+    pub fn check_family_invariants(family: &[&Self]) {
+        let trees: Vec<_> = family.iter().map(|m| &m.tree).collect();
+        for tree in &trees {
+            tree.check_invariants();
+        }
+        let reachable = BonsaiTree::check_family_invariants(&trees);
+        let Some(first) = family.first() else { return };
+        let (carved, shelved) = first.store.carved_and_shelved();
+        let held: usize = family
+            .iter()
+            .map(|m| {
+                let pooled = m.locks.fold_pooled(0, |sum, s| sum + s.arena.free_blocks());
+                pooled + m.tree.writer_arena_free_blocks()
+            })
+            .sum();
+        assert_eq!(
+            carved - shelved - held,
+            reachable,
+            "arena blocks in use disagree with the nodes the family reaches \
+             ({carved} carved, {shelved} shelved, {held} on live arenas' lists)"
+        );
     }
 
     /// Root-CAS commits that lost to a concurrent writer and rebuilt
@@ -649,6 +683,42 @@ mod tests {
             per_stats_registry
         );
         assert_eq!(after.bag_locks - before.bag_locks, per_stats_bags);
+    }
+
+    /// The write path's pay-as-you-go contract: an uncontended
+    /// `map`/`unmap` on a never-forked map notifies no condvar, takes no
+    /// commit gate and performs no reference-count RMW (all three are
+    /// debug-build censuses; release builds read 0 throughout). The first
+    /// fork switches the counting protocol on for both lineages — and
+    /// still wakes nobody.
+    #[test]
+    fn uncontended_churn_wakes_nobody_and_pays_no_sharing_cost() {
+        use crate::tree::sharing_ops;
+        let m: RangeMap<u32> = RangeMap::new(Collector::new());
+        for slot in 0..64u64 {
+            assert!(m.map(slot * 0x4000, slot * 0x4000 + 0x1000, slot as u32));
+        }
+        let before = sharing_ops();
+        for i in 0..10_000u64 {
+            let start = (i % 64) * 0x4000 + 0x2000;
+            assert!(m.map(start, start + 0x1000, 7));
+            assert_eq!(m.unmap(start), Some(7));
+        }
+        assert_eq!(m.locks.wakes(), 0, "uncontended releases woke a stripe");
+        assert_eq!(sharing_ops(), before, "a never-forked map paid for sharing");
+
+        let child = m.fork();
+        assert_eq!(m.locks.wakes(), 0, "a quiet fork woke a stripe");
+        let forked = sharing_ops();
+        assert!(m.map(0x2000, 0x3000, 7));
+        assert!(child.map(0x2000, 0x3000, 8));
+        if cfg!(debug_assertions) {
+            assert!(
+                sharing_ops() > forked,
+                "forked lineages skipped the accounting"
+            );
+        }
+        assert_eq!(m.locks.wakes() + child.locks.wakes(), 0);
     }
 
     #[test]

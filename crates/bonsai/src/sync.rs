@@ -4,9 +4,9 @@
 //! tier explores the *real* range-lock and tree-commit code.
 //!
 //! The shimmed surface is what the writer path touches: the range-lock
-//! table's mutex + condvar, the tree's root pointer (CAS-published) and
-//! length counter, and the writer mutex behind the tree's public
-//! single-writer API.
+//! table's mutex + condvar, the tree's root pointer (CAS-published),
+//! length counter and `shared` flag, the arena's list heads, and the
+//! writer mutex behind the tree's public single-writer API.
 //!
 //! [`loomette`]: https://docs.rs/loom (API-compatible subset, vendored
 //! in-tree as `crates/loomette` because this build environment is offline)
@@ -16,7 +16,7 @@ pub(crate) use std::sync::{Condvar, Mutex, MutexGuard};
 
 #[cfg(not(loom))]
 pub(crate) mod atomic {
-    pub(crate) use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize};
+    pub(crate) use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize};
 }
 
 #[cfg(loom)]
@@ -24,5 +24,5 @@ pub(crate) use loomette::sync::{Condvar, Mutex, MutexGuard};
 
 #[cfg(loom)]
 pub(crate) mod atomic {
-    pub(crate) use loomette::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize};
+    pub(crate) use loomette::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize};
 }

@@ -32,6 +32,15 @@
 //! commit may still be traversing it. See `docs/CONCURRENCY.md` §9 for
 //! the per-backend lifetime argument.
 //!
+//! Sharing is paid for only once it exists. Until a tree's first
+//! [`fork`](BonsaiTree::fork) every published node is reachable from one
+//! root through one link, so every count is 1: nodes are born with that
+//! count, an update lists the published nodes it replaces as it rebuilds,
+//! and a successful commit retires the list — no commit gate, no
+//! accounting walk, no release cascade. The first fork sets the tree's
+//! `shared` flag and needs no fix-up walk (all-ones is what the counting
+//! protocol would have produced); from then on both lineages count.
+//!
 //! # Concurrency contract
 //!
 //! The tree is generic over [`ReclaimBackend`]: the copy-on-write update
@@ -84,7 +93,7 @@ use rcukit::{
 };
 
 use crate::arena::{Arena, ChunkStore};
-use crate::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize};
+use crate::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize};
 use crate::sync::Mutex;
 
 /// Weight-balance factor: a subtree may be at most `DELTA` times heavier
@@ -112,17 +121,21 @@ pub(crate) struct Node<K, V> {
     size: usize,
     /// References on this node: one per parent link across every
     /// published version and forked lineage that reaches it, plus one per
-    /// tree whose root pointer is exactly this node. Links are counted at
-    /// *commit* time, never speculatively: a node is born at zero (the
-    /// not-yet-accounted marker, visible to no other thread) and receives
-    /// its counts in the publishing commit's accounting walk, under the
-    /// tree's commit gate — so a count can only be incremented by a
-    /// thread whose own lineage already holds a counted chain to the
-    /// node, never resurrected from zero. The node is retired when the
-    /// count returns to zero ([`release`]), which is what makes
-    /// structural sharing across forks sound: replacing or dropping a
-    /// node in one lineage can never free state another lineage still
-    /// reaches.
+    /// tree whose root pointer is exactly this node. On a shared tree
+    /// links are counted at *commit* time, never speculatively: a node is
+    /// born at zero (the not-yet-accounted marker, visible to no other
+    /// thread) and receives its counts in the publishing commit's
+    /// accounting walk, under the tree's commit gate — so a count can
+    /// only be incremented by a thread whose own lineage already holds a
+    /// counted chain to the node, never resurrected from zero. The node
+    /// is retired when the count returns to zero ([`release`]), which is
+    /// what makes structural sharing across forks sound: replacing or
+    /// dropping a node in one lineage can never free state another
+    /// lineage still reaches. On a never-forked tree the node is born at
+    /// 1, its final count. Either way the count is never read to decide
+    /// whether a node is *fresh*: a concurrent range-locked writer may
+    /// rebuild from a root whose publisher has not yet run its post-CAS
+    /// code, so freshness is decided from the builder's own scratch.
     rc: AtomicUsize,
     /// Era the node was created in, sampled from the hybrid domain at the
     /// start of the writer entry that built it (0 under the other
@@ -143,6 +156,30 @@ pub(crate) struct Node<K, V> {
 // followed — so sending a node requires exactly `K: Send + V: Send`.
 unsafe impl<K: Send, V: Send> Send for Node<K, V> {}
 
+#[cfg(debug_assertions)]
+thread_local! {
+    /// Debug-build census of the sharing protocol's per-update costs, per
+    /// thread: commit-gate acquisitions plus reference-count read-modify-
+    /// writes. An update of a never-forked tree must not move it.
+    static SHARING_OPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Tallies one commit-gate acquisition or count RMW (debug builds).
+#[inline]
+fn note_sharing_op() {
+    #[cfg(debug_assertions)]
+    let _ = SHARING_OPS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// The calling thread's sharing-protocol census (0 in release builds).
+#[cfg(test)]
+pub(crate) fn sharing_ops() -> u64 {
+    #[cfg(debug_assertions)]
+    return SHARING_OPS.with(std::cell::Cell::get);
+    #[cfg(not(debug_assertions))]
+    0
+}
+
 /// Takes one reference to `n` (a committed child link, or a root pointer
 /// being published or forked). No-op on null.
 ///
@@ -156,6 +193,7 @@ unsafe impl<K: Send, V: Send> Send for Node<K, V> {}
 /// from zero would resurrect a node another thread already batched.
 unsafe fn acquire<K, V>(n: *mut Node<K, V>) {
     if !n.is_null() {
+        note_sharing_op();
         // ordering: Relaxed — as in `Arc::clone`: the new reference only
         // becomes visible to other threads through a later Release (the
         // publishing root CAS, or the lock handoff protecting a fork),
@@ -181,6 +219,7 @@ unsafe fn release<K, V>(n: *mut Node<K, V>, batch: &mut RecycleBatch) {
     if n.is_null() {
         return;
     }
+    note_sharing_op();
     // ordering: AcqRel — as in `Arc::drop`: Release so this holder's
     // accesses to the node happen-before the reclamation the final
     // decrement triggers; Acquire (effective on the final decrement,
@@ -241,19 +280,20 @@ unsafe fn account<K, V>(n: *mut Node<K, V>) {
 /// (the tree's internal mutex, or one of `RangeMap`'s range locks, whose
 /// manager pools one scratch per concurrently held lock).
 ///
-/// The `fresh` buffer is the CAS-retry bookkeeping, and together with the
-/// scratch's [`Arena`] it is the whole allocation-free write path:
+/// The `fresh` and `replaced` buffers are the CAS-retry bookkeeping, and
+/// together with the scratch's [`Arena`] they are the whole
+/// allocation-free write path:
 ///
-/// * `fresh` records every node the update allocated, each born with a
-///   zero reference count (nothing counts speculative links). On a
-///   successful commit ([`Self::commit`]) the accounting walk
-///   ([`account`]) assigns the new version's counts, rotated-away fresh
-///   nodes (still at zero) return to the arena immediately, and releasing
-///   the old root retires exactly the nodes no remaining root reaches —
-///   replaced *published* nodes are not listed anywhere. On a failed CAS
-///   nothing in `fresh` was ever visible to any reader and no count was
-///   ever touched, so [`Self::discard`] returns every fresh node to the
-///   arena immediately.
+/// * `fresh` records every node the attempt allocated and still links. On
+///   a failed CAS nothing in it was ever visible to any reader and no
+///   count was ever touched, so [`Self::discard`] returns every fresh node
+///   to the arena immediately.
+/// * `replaced` is the retire batch. While the tree is unshared
+///   (`exclusive`) the rebuild pushes each published node it replaces, a
+///   successful commit ([`Self::commit`]) ships the list as is, and a
+///   failed one merely clears it (those nodes are still published). On a
+///   shared tree the commit fills it from the old root's release cascade,
+///   after the accounting walk ([`account`]) has assigned the new counts.
 /// * `arena` feeds every node allocation ([`BonsaiTree::mk`]) and pools
 ///   the batch buffers; once warm, an update performs zero heap
 ///   allocations (the node blocks, the batch buffer, and — see
@@ -262,10 +302,11 @@ unsafe fn account<K, V>(n: *mut Node<K, V>) {
 /// Capacity persists across updates (amortized zero growth once warm).
 pub(crate) struct WriterScratch<K, V> {
     fresh: Vec<*mut Node<K, V>>,
+    replaced: RecycleBatch,
     /// The slab arena this scratch allocates nodes from and retires them
     /// to. Sibling scratches' nodes may also recycle here; see
     /// `crate::arena` on block migration.
-    arena: Arena<Node<K, V>>,
+    pub(crate) arena: Arena<Node<K, V>>,
     /// Reusable address buffer lent to `RangeMap::unmap_range`'s discovery
     /// pass, so composite unmaps stay allocation-free too.
     pub(crate) addrs: Vec<u64>,
@@ -273,12 +314,16 @@ pub(crate) struct WriterScratch<K, V> {
     /// the hybrid domain's era sampled when the entry began; 0 under the
     /// other backends (they ignore it).
     birth_era: u64,
+    /// Whether the tree was still unshared when this writer entry began
+    /// (sampled from [`BonsaiTree::shared`] under the writer's lock, which
+    /// excludes the fork that could change it).
+    exclusive: bool,
 }
 
-// Safety: the pointer buffer is drained before the writer lock is
+// Safety: the pointer buffers are drained before the writer lock is
 // released (every update either commits or discards), so a
 // `WriterScratch` observed outside a critical section never carries
-// pointers; moving the empty buffer (and the `Send + Sync` arena handle)
+// pointers; moving the empty buffers (and the `Send + Sync` arena handle)
 // across threads is sound, and inside a critical section the scratch is
 // confined to the lock-holding thread.
 unsafe impl<K: Send, V: Send> Send for WriterScratch<K, V> {}
@@ -304,9 +349,11 @@ impl<K, V> WriterScratch<K, V> {
     pub(crate) fn with_store(store: Arc<ChunkStore<Node<K, V>>>) -> Self {
         Self {
             fresh: Vec::new(),
+            replaced: RecycleBatch::new(),
             arena: Arena::with_store(store),
             addrs: Vec::new(),
             birth_era: 0,
+            exclusive: false,
         }
     }
 
@@ -330,17 +377,52 @@ impl<K, V> WriterScratch<K, V> {
         self.arena.chunks()
     }
 
-    /// Whether the fresh buffer is empty — every update must start and end
-    /// in this state.
+    /// Whether both pointer buffers are empty — every update must start
+    /// and end in this state.
     fn is_drained(&self) -> bool {
-        self.fresh.is_empty()
+        self.fresh.is_empty() && self.replaced.is_empty()
+    }
+
+    /// Records that the published node `n` leaves the tree with this
+    /// update. A shared tree lists nothing: its release cascade finds the
+    /// nodes no remaining root reaches.
+    #[inline]
+    fn replace(&mut self, n: *mut Node<K, V>) {
+        if self.exclusive {
+            self.replaced.push(n as *mut ());
+        }
+    }
+
+    /// Records that `n` was rotated out of the path being rebuilt: one of
+    /// this attempt's own nodes (found in `fresh`: back to the arena on
+    /// the spot) or a published one (joins `replaced`). Membership in the
+    /// attempt's own list is the only freshness test (see [`Node`]'s `rc`).
+    ///
+    /// # Safety
+    ///
+    /// `n` must be a live node the attempt no longer links and will not
+    /// read again.
+    unsafe fn unlink(&mut self, n: *mut Node<K, V>) {
+        if !self.exclusive {
+            return;
+        }
+        match self.fresh.iter().rposition(|&f| f == n) {
+            Some(i) => {
+                self.fresh.swap_remove(i);
+                // Safety: allocated by `mk` this attempt, never published,
+                // unlinked per the contract; reclaimed exactly once here.
+                unsafe { self.arena.reclaim_now(n) };
+            }
+            None => self.replaced.push(n as *mut ()),
+        }
     }
 
     /// Publication failed (another writer's CAS won) or the attempt
     /// unwound pre-CAS: return every node this attempt allocated to the
     /// arena — none was ever reachable by a reader, so no grace period is
-    /// needed, and no reference count was ever touched (links are counted
-    /// only at commit), so there is nothing to unwind.
+    /// needed, and no reference count was ever touched, so there is
+    /// nothing to unwind — and forget the replaced list, whose nodes are
+    /// all still published.
     ///
     /// # Safety
     ///
@@ -356,14 +438,17 @@ impl<K, V> WriterScratch<K, V> {
             unsafe { self.arena.reclaim_now(n) };
         }
         self.fresh.clear();
+        drop(self.replaced.drain());
     }
 }
 
 /// Unwind guard for a commit attempt: if the attempt leaves the scratch
-/// undrained — only possible when a `K`/`V` clone panicked mid-rebuild,
-/// before any publication — free the speculative nodes, so the scratch
-/// returns to its pool (or poisoned mutex) clean and the next writer
-/// inherits no stale pointers.
+/// undrained — a `K`/`V` clone or an allocation panicked mid-rebuild,
+/// before any publication — free the speculative nodes and forget the
+/// replaced list, so the scratch returns to its pool (or poisoned mutex)
+/// clean and the next writer inherits no stale pointers. Both buffers
+/// count: an unwinding `remove` can have listed the node it removes before
+/// its first allocation failed.
 struct DrainOnUnwind<'a, K, V>(&'a mut WriterScratch<K, V>);
 
 impl<K, V> Drop for DrainOnUnwind<'_, K, V> {
@@ -410,9 +495,12 @@ impl<K: Send + 'static, V: Send + 'static> Drop for CommitOnUnwind<'_, '_, K, V>
 }
 
 impl<K: Send + 'static, V: Send + 'static> WriterScratch<K, V> {
-    /// Publication succeeded: settle the reference counts, in the only
-    /// sound order and under the tree's commit gate (held by the caller
-    /// across CAS → commit, so accounting runs in version order).
+    /// Publication succeeded: retire what the update replaced. On an
+    /// unshared tree that is the `replaced` list the rebuild made, as is —
+    /// exactly the nodes a release cascade would have found, each having
+    /// been reachable through one link from one root. On a shared tree the reference counts are settled first, in the
+    /// only sound order and under the tree's commit gate (held by the
+    /// caller across CAS → commit, so accounting runs in version order).
     ///
     /// 1. [`account`] the new version from `new_root`: kept fresh nodes
     ///    take their single new-tree reference, published nodes newly
@@ -426,7 +514,7 @@ impl<K: Send + 'static, V: Send + 'static> WriterScratch<K, V> {
     ///    exactly the nodes no remaining root — this tree's new version,
     ///    or any forked lineage — can reach.
     ///
-    /// Everything that hit zero ships as one deferred recycle batch — a
+    /// Everything retired ships as one deferred recycle batch — a
     /// single retire-tag sample (and its StoreLoad fence) per update,
     /// zero allocations once the arena's batch pool is warm (on the HP
     /// backend the batch is split per pointer so each node reclaims as
@@ -439,46 +527,48 @@ impl<K: Send + 'static, V: Send + 'static> WriterScratch<K, V> {
         old_root: *mut Node<K, V>,
         new_root: *mut Node<K, V>,
     ) {
-        // Safety: `new_root` was just published under the held commit
-        // gate; fresh children are this update's own, published ones are
-        // held up by the old version until the release below.
-        unsafe { account(new_root) };
-        let mut batch = self.arena.take_batch();
-        for &n in &self.fresh {
-            // ordering: Relaxed — the accounting walk above ran on this
-            // thread; zero means it never reached `n`.
-            if unsafe { (*n).rc.load(Ordering::Relaxed) } == 0 {
-                // Safety: rotated away within this update — absent from
-                // the new tree, so never published and never referenced;
-                // freed exactly once here.
-                unsafe { self.arena.reclaim_now(n) };
+        if !self.exclusive {
+            // Safety: `new_root` was just published under the held commit
+            // gate; fresh children are this update's own, published ones
+            // are held up by the old version until the release below.
+            unsafe { account(new_root) };
+            for &n in &self.fresh {
+                // ordering: Relaxed — the accounting walk above ran on
+                // this thread; zero means it never reached `n`.
+                if unsafe { (*n).rc.load(Ordering::Relaxed) } == 0 {
+                    // Safety: rotated away within this update — absent
+                    // from the new tree, so never published and never
+                    // referenced; freed exactly once here.
+                    unsafe { self.arena.reclaim_now(n) };
+                }
             }
+            // Safety: dropping the replaced version's root-pointer
+            // reference; the cascade stops at subtrees the new version or
+            // a forked lineage still references.
+            unsafe { release(old_root, &mut self.replaced) };
         }
         self.fresh.clear();
-        // Safety: dropping the replaced version's root-pointer reference;
-        // the cascade stops at subtrees the new version or a forked
-        // lineage still references.
-        unsafe { release(old_root, &mut batch) };
-        // Safety: every batched pointer hit a zero count under a
-        // still-held write session: no root reaches it anymore, so only
-        // readers already inside a critical section can, and the grace
-        // period covers exactly those.
+        if self.replaced.is_empty() {
+            return;
+        }
+        let batch = std::mem::replace(&mut self.replaced, self.arena.take_batch());
+        // Safety: every batched pointer left the graph under a still-held
+        // write session (listed as replaced on the only root that reached
+        // it, or released to a zero count): no root reaches it anymore, so
+        // only readers already inside a critical section can, and the
+        // grace period covers exactly those.
         unsafe { self.defer_batch(sess, batch) };
     }
 
-    /// Ships `batch` to the session's backend for grace-period
-    /// reclamation, or returns an empty buffer to the arena's pool.
+    /// Ships the non-empty `batch` to the session's backend for
+    /// grace-period reclamation.
     ///
     /// # Safety
     ///
     /// Every pointer in `batch` is an arena-family block holding an
-    /// initialized `Node` at refcount zero (unreachable from every root),
-    /// batched exactly once; the payload is `Send` (the bounds here).
+    /// initialized `Node` unreachable from every root, batched exactly
+    /// once; the payload is `Send` (the bounds here).
     unsafe fn defer_batch(&mut self, sess: &WriteSess<'_>, batch: RecycleBatch) {
-        if batch.is_empty() {
-            self.arena.put_batch(batch);
-            return;
-        }
         let bytes = batch.len() * std::mem::size_of::<Node<K, V>>();
         // Safety: forwarded contract. The hybrid arm additionally reads
         // each node's birth stamp out of the retired block — still valid
@@ -706,8 +796,16 @@ pub struct BonsaiTree<K, V> {
     /// links holding N's nodes up. Held only across CAS → account/release
     /// (O(path)); the expensive speculative rebuild stays outside it, so
     /// disjoint `RangeMap` writers still overlap where it matters. A
-    /// *leaf* lock: nothing is acquired while it is held.
+    /// *leaf* lock: nothing is acquired while it is held. Taken only once
+    /// the tree is `shared`: an unshared tree's commits touch no count, so
+    /// there is no accounting to order.
     commit_gate: Mutex<()>,
+    /// Whether this tree has ever been one side of a fork. False from
+    /// construction until the first [`fork_in`](Self::fork_in) sets it on
+    /// parent and child, never cleared. While it is false every published
+    /// node's count is exactly 1 and updates run without the counting
+    /// protocol (see the module docs).
+    shared: AtomicBool,
     len: AtomicUsize,
     /// Root-CAS commits that lost to a concurrent writer and rebuilt. Only
     /// the failure path touches these two counters, so an uncontended
@@ -763,6 +861,7 @@ where
             backend,
             hp_gate: Mutex::new(()),
             commit_gate: Mutex::new(()),
+            shared: AtomicBool::new(false),
             len: AtomicUsize::new(0),
             cas_retries: AtomicU64::new(0),
             cas_wasted: AtomicU64::new(0),
@@ -813,6 +912,12 @@ where
         // ordering: Acquire — publication pairing, as in `find`: the child
         // republishes this snapshot to its own readers.
         let root = self.root.load(Ordering::Acquire);
+        // ordering: Relaxed — written under the caller's writer exclusion
+        // and read by writers under the same locks (`publish`), whose
+        // hand-off orders the store before every later update's load. No
+        // fix-up walk is owed: an unshared tree's counts are all 1, which
+        // is what the counting protocol would have left.
+        self.shared.store(true, Ordering::Relaxed);
         // Safety: writer exclusion (see above) keeps `root` the current
         // root — its root-pointer reference cannot be released before the
         // child takes its own here.
@@ -824,6 +929,7 @@ where
             backend: self.backend.clone(),
             hp_gate: Mutex::new(()),
             commit_gate: Mutex::new(()),
+            shared: AtomicBool::new(true),
             // ordering: Acquire — pairs with the commit-path Release; exact
             // under the caller's writer exclusion.
             len: AtomicUsize::new(self.len.load(Ordering::Acquire)),
@@ -879,6 +985,13 @@ where
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .arena_chunks()
+    }
+
+    /// Free blocks resting in the writer scratch's arena (audit aid for
+    /// `RangeMap::check_family_invariants`).
+    pub(crate) fn writer_arena_free_blocks(&self) -> usize {
+        let writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
+        writer.arena.free_blocks()
     }
 
     /// Root-CAS commits that lost to a concurrent writer and had to
@@ -1341,18 +1454,9 @@ where
 
     /// [`insert`](Self::insert) against a caller-provided scratch, for
     /// writer paths with their own serialization (`RangeMap`'s range
-    /// locks) — or none: the commit is a CAS-with-retry, so concurrent
-    /// calls are *safe* (no torn roots, no double retire), they merely
-    /// contend on the root. A failed CAS frees the never-published
-    /// speculative path ([`WriterScratch::discard`]) and rebuilds from the
-    /// winner's root.
-    ///
-    /// `sess` must have been opened against this tree's backend (checked)
-    /// and *before* this call — which is what makes the load→CAS window
-    /// ABA-free: under epoch/QSBR the snapshot root cannot be reclaimed
-    /// while the session's protection holds, so a re-observed equal
-    /// pointer really is the unchanged root; under HP the session holds
-    /// the writer gate, so the root cannot change at all.
+    /// locks) — or none: the commit is a CAS-with-retry
+    /// ([`publish`](Self::publish)), so concurrent calls are *safe* (no
+    /// torn roots, no double retire), they merely contend on the root.
     ///
     /// # Panics
     ///
@@ -1364,81 +1468,12 @@ where
         sess: &WriteSess<'_>,
         scratch: &mut WriterScratch<K, V>,
     ) -> Option<V> {
-        self.check_sess(sess);
-        debug_assert!(scratch.is_drained());
-        scratch.birth_era = sess.birth_era();
-        // Unwind safety: if a K/V clone panics mid-rebuild, `fresh` holds
-        // a half-built speculative path. The old mutex-owned scratch was
-        // covered by lock poisoning; `RangeMap`'s pooled scratches are
-        // not, and lending a dirty scratch to the next writer would leak
-        // those nodes (or worse, let stale pointers be freed twice).
-        // Discard on the way out instead.
-        let scratch = DrainOnUnwind(scratch);
-        // ordering: Acquire — publication pairing, as in `get`: the rebuild
-        // below dereferences nodes behind this root.
-        let mut root = self.root.load(Ordering::Acquire);
-        let mut failures = 0u32;
-        loop {
+        self.publish(sess, scratch, |root, scratch| {
             // Safety: `root` was published and the write session keeps
             // every node reachable from it live and immutable.
-            let (new_root, old) = unsafe { Self::insert_rec(root, &key, &value, scratch.0) };
-            // Failpoint: unwind before anything publishes — must leak
-            // nothing (`DrainOnUnwind` discards the speculative path).
-            rcukit::faults::maybe_panic(rcukit::faults::site::TREE_PRE_PUBLISH);
-            // The commit point is gated so accounting runs in version
-            // order (see `commit_gate`); the rebuild above stayed outside.
-            // A poisoned gate is recoverable: the post-CAS unwind guard
-            // below completes the poisoning attempt's accounting before
-            // the gate is released, so the protected state is consistent.
-            let gate = self.commit_gate.lock().unwrap_or_else(|e| e.into_inner());
-            // Failpoint: a forced CAS failure exercises the retry path
-            // without a competing writer — skip the CAS, root unchanged.
-            // ordering: AcqRel success — Release publishes the speculative
-            // path's node writes to readers' Acquire root loads; Acquire
-            // orders this commit after the prior one it replaces. Acquire
-            // failure — the reloaded root is dereferenced on the retry.
-            let cas = if rcukit::faults::should_fail(rcukit::faults::site::TREE_CAS) {
-                Err(root)
-            } else {
-                self.root
-                    .compare_exchange(root, new_root, Ordering::AcqRel, Ordering::Acquire)
-            };
-            match cas {
-                Ok(_) => {
-                    // Retire strictly after publication: until the CAS, a
-                    // freshly pinned reader could still reach the replaced
-                    // nodes through `self.root`. The new root is now
-                    // visible, so the accounting and the length update are
-                    // owed no matter how this attempt exits — the guard
-                    // runs them even if the failpoint below unwinds.
-                    let done = CommitOnUnwind {
-                        scratch: &mut *scratch.0,
-                        sess,
-                        old_root: root,
-                        new_root,
-                        len: &self.len,
-                        delta: if old.is_none() { 1 } else { 0 },
-                    };
-                    // Failpoint: unwind after publication but before
-                    // accounting — the atomicity hole the guard closes.
-                    rcukit::faults::maybe_panic(rcukit::faults::site::TREE_POST_CAS);
-                    drop(done);
-                    drop(gate);
-                    return old;
-                }
-                Err(current) => {
-                    drop(gate);
-                    // Another writer published first. Nothing this attempt
-                    // built was ever visible.
-                    failures += 1;
-                    let wasted = scratch.0.fresh.len();
-                    // Safety: the CAS failed, so `fresh` is unpublished.
-                    unsafe { scratch.0.discard() };
-                    self.note_cas_failure(failures, wasted);
-                    root = current;
-                }
-            }
-        }
+            let (new_root, old) = unsafe { Self::insert_rec(root, &key, &value, scratch) };
+            Ok((new_root, i8::from(old.is_none()), old))
+        })
     }
 
     /// Removes `key`, returning its value if it was present. Takes the
@@ -1463,30 +1498,86 @@ where
         sess: &WriteSess<'_>,
         scratch: &mut WriterScratch<K, V>,
     ) -> Option<V> {
+        self.publish(sess, scratch, |root, scratch| {
+            // Safety: as in `insert_with`.
+            let (new_root, old) = unsafe { Self::remove_rec(root, key, scratch) };
+            match old {
+                // A miss rebuilds nothing and therefore replaces nothing;
+                // the answer is valid as of the root load, no CAS needed.
+                None => Err(None),
+                Some(_) => Ok((new_root, -1, old)),
+            }
+        })
+    }
+
+    /// The CAS-with-retry commit loop behind every update. `rebuild`
+    /// builds the next version speculatively from a root snapshot and
+    /// returns `(new_root, len_delta, result)`, or `Err(result)` when
+    /// there is nothing to publish. A failed CAS frees the never-published
+    /// speculative path ([`WriterScratch::discard`]) and rebuilds from the
+    /// winner's root.
+    ///
+    /// `sess` must have been opened against this tree's backend (checked)
+    /// and *before* this call — which is what makes the load→CAS window
+    /// ABA-free: under epoch/QSBR the snapshot root cannot be reclaimed
+    /// while the session's protection holds, so a re-observed equal
+    /// pointer really is the unchanged root; under HP the session holds
+    /// the writer gate, so the root cannot change at all.
+    #[allow(clippy::type_complexity)]
+    fn publish<R>(
+        &self,
+        sess: &WriteSess<'_>,
+        scratch: &mut WriterScratch<K, V>,
+        mut rebuild: impl FnMut(
+            *mut Node<K, V>,
+            &mut WriterScratch<K, V>,
+        ) -> Result<(*mut Node<K, V>, i8, R), R>,
+    ) -> R {
         self.check_sess(sess);
         debug_assert!(scratch.is_drained());
         scratch.birth_era = sess.birth_era();
-        // Unwind safety: as in `insert_with`.
+        // ordering: Relaxed — ordered by the writer lock this caller
+        // holds, which every fork excludes (see `fork_in`).
+        scratch.exclusive = !self.shared.load(Ordering::Relaxed);
+        // Unwind safety: if a K/V clone or an allocation panics
+        // mid-rebuild, the scratch holds a half-built speculative path.
+        // The old mutex-owned scratch was covered by lock poisoning;
+        // `RangeMap`'s pooled scratches are not, and lending a dirty
+        // scratch to the next writer would leak those nodes (or worse,
+        // retire a node still in the tree). Discard on the way out
+        // instead.
         let scratch = DrainOnUnwind(scratch);
-        // ordering: Acquire — publication pairing; see `insert_with`.
+        // ordering: Acquire — publication pairing, as in `get`: the rebuild
+        // below dereferences nodes behind this root.
         let mut root = self.root.load(Ordering::Acquire);
         let mut failures = 0u32;
         loop {
-            // Safety: as in `insert_with`.
-            let (new_root, old) = unsafe { Self::remove_rec(root, key, scratch.0) };
-            if old.is_none() {
-                // A miss rebuilds nothing and therefore replaces nothing;
-                // the answer is valid as of the root load, no CAS needed.
-                debug_assert!(scratch.0.is_drained());
-                return None;
-            }
-            // Failpoint: pre-publish unwind; see `insert_with`.
+            let (new_root, delta, out) = match rebuild(root, scratch.0) {
+                Ok(built) => built,
+                Err(out) => {
+                    debug_assert!(scratch.0.is_drained());
+                    return out;
+                }
+            };
+            // Failpoint: unwind before anything publishes — must leak
+            // nothing (`DrainOnUnwind` discards the speculative path).
             rcukit::faults::maybe_panic(rcukit::faults::site::TREE_PRE_PUBLISH);
-            // Commit-point gate (poison-recoverable); see `insert_with`.
-            let gate = self.commit_gate.lock().unwrap_or_else(|e| e.into_inner());
-            // Failpoint + ordering: AcqRel success / Acquire failure —
-            // forced-failure and commit publication pairing; see
-            // `insert_with`.
+            // On a shared tree the commit point is gated so accounting
+            // runs in version order (see `commit_gate`); the rebuild above
+            // stayed outside. A poisoned gate is recoverable: the post-CAS
+            // unwind guard below completes the poisoning attempt's
+            // accounting before the gate is released, so the protected
+            // state is consistent.
+            let gate = (!scratch.0.exclusive).then(|| {
+                note_sharing_op();
+                self.commit_gate.lock().unwrap_or_else(|e| e.into_inner())
+            });
+            // Failpoint: a forced CAS failure exercises the retry path
+            // without a competing writer — skip the CAS, root unchanged.
+            // ordering: AcqRel success — Release publishes the speculative
+            // path's node writes to readers' Acquire root loads; Acquire
+            // orders this commit after the prior one it replaces. Acquire
+            // failure — the reloaded root is dereferenced on the retry.
             let cas = if rcukit::faults::should_fail(rcukit::faults::site::TREE_CAS) {
                 Err(root)
             } else {
@@ -1495,24 +1586,31 @@ where
             };
             match cas {
                 Ok(_) => {
-                    // Retire strictly after publication, as one batch, via
-                    // the post-CAS unwind guard; see `insert_with`.
+                    // Retire strictly after publication: until the CAS, a
+                    // freshly pinned reader could still reach the replaced
+                    // nodes through `self.root`. The new root is now
+                    // visible, so the retirement and the length update are
+                    // owed no matter how this attempt exits — the guard
+                    // runs them even if the failpoint below unwinds.
                     let done = CommitOnUnwind {
                         scratch: &mut *scratch.0,
                         sess,
                         old_root: root,
                         new_root,
                         len: &self.len,
-                        delta: -1,
+                        delta,
                     };
-                    // Failpoint: post-CAS unwind; see `insert_with`.
+                    // Failpoint: unwind after publication but before
+                    // accounting — the atomicity hole the guard closes.
                     rcukit::faults::maybe_panic(rcukit::faults::site::TREE_POST_CAS);
                     drop(done);
                     drop(gate);
-                    return old;
+                    return out;
                 }
                 Err(current) => {
                     drop(gate);
+                    // Another writer published first. Nothing this attempt
+                    // built was ever visible.
                     failures += 1;
                     let wasted = scratch.0.fresh.len();
                     // Safety: the CAS failed, so `fresh` is unpublished.
@@ -1574,8 +1672,9 @@ where
     }
 
     /// Verifies the BST ordering, cached sizes, and the weight-balance
-    /// bound. Panics on violation. Test/debug aid; call while no writer is
-    /// active.
+    /// bound — and, on a tree that has never been forked, that every
+    /// node's reference count is exactly 1. Panics on violation.
+    /// Test/debug aid; call while no writer is active.
     #[doc(hidden)]
     pub fn check_invariants(&self) {
         let n = self.with_snapshot(|root| {
@@ -1584,6 +1683,45 @@ where
             unsafe { Self::check_rec(root, None, None) }
         });
         assert_eq!(n, self.len(), "cached len disagrees with node count");
+        // ordering: Relaxed — no writer (hence no fork) is active.
+        if !self.shared.load(Ordering::Relaxed) {
+            assert_eq!(Self::check_family_invariants(&[self]), n);
+        }
+    }
+
+    /// The reference-count audit over a whole fork family: every node
+    /// reachable from `family`'s roots must carry a count equal to its
+    /// in-degree — parent links from distinct reachable nodes, plus one
+    /// per root pointer at it. Returns the number of distinct nodes.
+    /// Panics on violation. Test/debug aid: `family` must be *every* live
+    /// lineage of one family, with no writer active on any of them.
+    #[doc(hidden)]
+    pub fn check_family_invariants(family: &[&Self]) -> usize {
+        let mut indegree = std::collections::HashMap::new();
+        let mut stack = Vec::new();
+        for tree in family {
+            // ordering: Acquire — publication pairing; see `find`. No
+            // protection beyond it: the caller excludes writers, so no
+            // reachable node can be retired under the walk.
+            stack.push(tree.root.load(Ordering::Acquire));
+            while let Some(n) = stack.pop() {
+                if n.is_null() {
+                    continue;
+                }
+                let links = indegree.entry(n).or_insert(0usize);
+                *links += 1;
+                if *links == 1 {
+                    // Safety: reachable from a live root, writers excluded.
+                    stack.extend(unsafe { [(*n).left, (*n).right] });
+                }
+            }
+        }
+        for (&n, &links) in &indegree {
+            // ordering: Relaxed — quiescent per the contract.
+            let rc = unsafe { (*n).rc.load(Ordering::Relaxed) };
+            assert_eq!(rc, links, "node count disagrees with its in-degree");
+        }
+        indegree.len()
     }
 
     // ---- internal copy-on-write machinery (writer side) ----
@@ -1614,10 +1752,11 @@ where
     ) -> *mut Node<K, V> {
         let n = scratch.arena.alloc(Node {
             size: 1 + Self::size_of(left) + Self::size_of(right),
-            // Born unaccounted: links are counted only by a successful
-            // commit's accounting walk ([`account`]), so a failed CAS has
-            // nothing to unwind.
-            rc: AtomicUsize::new(0),
+            // On a shared tree, born unaccounted: links are counted only
+            // by a successful commit's accounting walk ([`account`]), so
+            // a failed CAS has nothing to unwind. On an unshared tree,
+            // born at 1 — the final count of every node it will publish.
+            rc: AtomicUsize::new(usize::from(scratch.exclusive)),
             birth: scratch.birth_era,
             key,
             value,
@@ -1635,8 +1774,10 @@ where
     /// # Safety
     ///
     /// `l`/`r` are valid subtree roots owned by the current update (or
-    /// published and guard-protected); rotated-away nodes are pushed onto
-    /// the scratch's retired list.
+    /// published and guard-protected). A rotated-away node is recorded
+    /// through [`WriterScratch::unlink`]: on an unshared tree it returns
+    /// to the arena (the attempt's own) or joins the replaced list
+    /// (published); on a shared tree the commit's accounting finds it.
     unsafe fn balance(
         l: *mut Node<K, V>,
         key: K,
@@ -1658,9 +1799,10 @@ where
                 // Safety: `r` valid; its fields are cloned, not moved.
                 let (rk, rv) = unsafe { ((*r).key.clone(), (*r).value.clone()) };
                 let inner = Self::mk(scratch, l, key, value, rl);
-                // `r` is replaced by `out` and unlinked; the release
-                // cascade retires it.
-                Self::mk(scratch, inner, rk, rv, rr)
+                let out = Self::mk(scratch, inner, rk, rv, rr);
+                // Safety: `r` is replaced by `out` and not read again.
+                unsafe { scratch.unlink(r) };
+                out
             } else {
                 // Double left rotation; `rl` is non-null because
                 // size(rl) >= RATIO * size(rr) and sizes sum to >= 2.
@@ -1670,9 +1812,14 @@ where
                 let (rll, rlr) = unsafe { ((*rl).left, (*rl).right) };
                 let left = Self::mk(scratch, l, key, value, rll);
                 let right = Self::mk(scratch, rlr, rk, rv, rr);
-                // `r` and `rl` are replaced by `out` and unlinked; the
-                // release cascade retires them.
-                Self::mk(scratch, left, rlk, rlv, right)
+                let out = Self::mk(scratch, left, rlk, rlv, right);
+                // Safety: `r` and `rl` are replaced by `out` and not read
+                // again.
+                unsafe {
+                    scratch.unlink(r);
+                    scratch.unlink(rl);
+                }
+                out
             }
         } else if sl > DELTA * sr {
             // Left-heavy: rotate right (mirror image).
@@ -1682,9 +1829,10 @@ where
                 // Safety: `l` valid; fields cloned.
                 let (lk, lv) = unsafe { ((*l).key.clone(), (*l).value.clone()) };
                 let inner = Self::mk(scratch, lr, key, value, r);
-                // `l` is replaced by `out` and unlinked; the release
-                // cascade retires it.
-                Self::mk(scratch, ll, lk, lv, inner)
+                let out = Self::mk(scratch, ll, lk, lv, inner);
+                // Safety: `l` is replaced by `out` and not read again.
+                unsafe { scratch.unlink(l) };
+                out
             } else {
                 // Safety: `l` and `lr` are valid nodes.
                 let (lk, lv) = unsafe { ((*l).key.clone(), (*l).value.clone()) };
@@ -1692,9 +1840,14 @@ where
                 let (lrl, lrr) = unsafe { ((*lr).left, (*lr).right) };
                 let left = Self::mk(scratch, ll, lk, lv, lrl);
                 let right = Self::mk(scratch, lrr, key, value, r);
-                // `l` and `lr` are replaced by `out` and unlinked; the
-                // release cascade retires them.
-                Self::mk(scratch, left, lrk, lrv, right)
+                let out = Self::mk(scratch, left, lrk, lrv, right);
+                // Safety: `l` and `lr` are replaced by `out` and not read
+                // again.
+                unsafe {
+                    scratch.unlink(l);
+                    scratch.unlink(lr);
+                }
+                out
             }
         } else {
             Self::mk(scratch, l, key, value, r)
@@ -1702,8 +1855,10 @@ where
     }
 
     /// Copy-on-write insert. Returns the new subtree root and the displaced
-    /// value, collecting replaced nodes and fresh allocations into the
-    /// scratch.
+    /// value, collecting fresh allocations — and, on an unshared tree, the
+    /// published nodes they replace ([`WriterScratch::replace`]; `n` is
+    /// always a published node here, the recursion only descends published
+    /// links) — into the scratch.
     ///
     /// # Safety
     ///
@@ -1732,8 +1887,7 @@ where
             Cmp::Equal => {
                 let old = node.value.clone();
                 let out = Self::mk(scratch, node.left, key.clone(), value.clone(), node.right);
-                // `n` is replaced by `out`; the old version's release
-                // cascade retires it once no root reaches it.
+                scratch.replace(n);
                 (out, Some(old))
             }
             Cmp::Less => {
@@ -1743,8 +1897,7 @@ where
                     // Safety: `nl` is owned by this update, `node.right` is
                     // published; both valid.
                     unsafe { Self::balance(nl, node.key.clone(), node.value.clone(), node.right, scratch) };
-                // `n` is replaced by `out`; the old version's release
-                // cascade retires it once no root reaches it.
+                scratch.replace(n);
                 (out, old)
             }
             Cmp::Greater => {
@@ -1753,8 +1906,7 @@ where
                 let out =
                     // Safety: as in the `Less` arm, mirrored.
                     unsafe { Self::balance(node.left, node.key.clone(), node.value.clone(), nr, scratch) };
-                // `n` is replaced by `out`; the old version's release
-                // cascade retires it once no root reaches it.
+                scratch.replace(n);
                 (out, old)
             }
         }
@@ -1781,8 +1933,7 @@ where
                 let old = node.value.clone();
                 // Safety: joining the two published child subtrees.
                 let out = unsafe { Self::join(node.left, node.right, scratch) };
-                // `n` is replaced by `out`; the old version's release
-                // cascade retires it once no root reaches it.
+                scratch.replace(n);
                 (out, Some(old))
             }
             Cmp::Less => {
@@ -1801,8 +1952,7 @@ where
                         scratch,
                     )
                 };
-                // `n` is replaced by `out`; the old version's release
-                // cascade retires it once no root reaches it.
+                scratch.replace(n);
                 (out, old)
             }
             Cmp::Greater => {
@@ -1815,8 +1965,7 @@ where
                 let out = unsafe {
                     Self::balance(node.left, node.key.clone(), node.value.clone(), nr, scratch)
                 };
-                // `n` is replaced by `out`; the old version's release
-                // cascade retires it once no root reaches it.
+                scratch.replace(n);
                 (out, old)
             }
         }
@@ -1859,9 +2008,10 @@ where
         // Safety: `n` is valid and non-null per the contract.
         let node = unsafe { &*n };
         if node.left.is_null() {
-            // `n` is unlinked (its right child is reused); the release
-            // cascade retires it.
-            (node.key.clone(), node.value.clone(), node.right)
+            // `n` is unlinked; its right child is reused.
+            let min = (node.key.clone(), node.value.clone(), node.right);
+            scratch.replace(n);
+            min
         } else {
             // Safety: `node.left` is non-null and valid.
             let (k, v, nl) = unsafe { Self::extract_min(node.left, scratch) };
@@ -1875,7 +2025,7 @@ where
                     scratch,
                 )
             };
-            // `n` is replaced by `out`; the release cascade retires it.
+            scratch.replace(n);
             (k, v, out)
         }
     }
@@ -1944,7 +2094,7 @@ impl<K, V> Drop for BonsaiTree<K, V> {
         // like any commit's. `&mut self` guarantees only that *this*
         // tree has no readers or writers left.
         let scratch = self.writer.get_mut().unwrap_or_else(|e| e.into_inner());
-        let mut batch = scratch.arena.take_batch();
+        let mut batch = std::mem::take(&mut scratch.replaced);
         // ordering: Relaxed — `&mut self` proves exclusive access, so no
         // concurrent writer exists (and loomette's atomics have no
         // `get_mut`; an unordered load is the same thing here).
@@ -1953,7 +2103,6 @@ impl<K, V> Drop for BonsaiTree<K, V> {
         // the commit (or fork) that published `root`.
         unsafe { release(root, &mut batch) };
         if batch.is_empty() {
-            scratch.arena.put_batch(batch);
             return;
         }
         let bytes = batch.len() * std::mem::size_of::<Node<K, V>>();
@@ -2073,6 +2222,49 @@ mod tests {
         collector.synchronize();
         let s = collector.stats();
         assert_eq!(s.objects_retired, s.objects_freed);
+    }
+
+    /// Pay-as-you-go sharing must change *how* replaced nodes are found,
+    /// never *which*: the same operations on a never-forked tree (replaced
+    /// list) and on a twin that forked once while empty (accounting walk +
+    /// release cascade, counts all 1) retire the same number of nodes at
+    /// every step, and the unshared tree's counts stay exactly 1.
+    #[test]
+    fn unshared_updates_retire_exactly_what_the_cascade_would() {
+        let (c_list, c_cascade) = (Collector::new(), Collector::new());
+        let listed: BonsaiTree<u64, u64> = BonsaiTree::new(c_list.clone());
+        let cascaded: BonsaiTree<u64, u64> = BonsaiTree::new(c_cascade.clone());
+        drop(cascaded.fork()); // sets `shared`; nothing is actually shared
+        let mut rng = Rng(0xFACADE);
+        const OPS: u64 = if cfg!(miri) { 300 } else { 6000 };
+        for i in 0..OPS {
+            // Sequential runs force rotations; random keys mix in replaces
+            // and removes of inner nodes (the `join`/`extract_min` path).
+            let k = if i % 3 == 0 { i / 3 } else { rng.next() % 512 };
+            if rng.next().is_multiple_of(3) {
+                assert_eq!(listed.remove(&k), cascaded.remove(&k), "op {i}");
+            } else {
+                assert_eq!(listed.insert(k, i), cascaded.insert(k, i), "op {i}");
+            }
+            assert_eq!(
+                c_list.stats().objects_retired,
+                c_cascade.stats().objects_retired,
+                "op {i} (key {k}): the replaced list and the release cascade disagree"
+            );
+            if i % 256 == 0 {
+                listed.check_invariants(); // includes "every count is 1"
+                cascaded.check_invariants();
+                BonsaiTree::check_family_invariants(&[&cascaded]);
+            }
+        }
+        listed.check_invariants();
+        assert_eq!(listed.to_vec(), cascaded.to_vec());
+        drop((listed, cascaded));
+        for c in [c_list, c_cascade] {
+            c.synchronize();
+            let s = c.stats();
+            assert_eq!(s.objects_retired, s.objects_freed);
+        }
     }
 
     #[test]

@@ -590,6 +590,75 @@ fn unmap_range_survives_injected_failures_mid_flight() {
     assert_eq!(m.to_vec(), after_unmap, "retry did not converge");
 }
 
+/// Regression: an unwinding remove whose *first* allocation fails leaves
+/// the attempt with no fresh node but — on a never-forked tree, which
+/// lists what it replaces as it rebuilds — one replaced node: removing a
+/// leaf `join`s two null children without allocating, and the failure
+/// strikes in the parent's rebalance. The unwind guard used to look at the
+/// fresh list only, so the scratch went back to its pool still naming a
+/// published node, and the next holder's commit retired a node that was
+/// still in the tree.
+#[test]
+fn failed_first_allocation_leaves_no_replaced_node_behind() {
+    let _s = serial();
+    silence_injected_panics();
+    let _replay = ReplayOnFailure;
+
+    // The mutex-owned scratch (standalone tree) and a pooled one (map).
+    let tree: BonsaiTree<u64, u64> = BonsaiTree::new(rcukit::Collector::new());
+    let map: RangeMap<u64> = RangeMap::new(rcukit::Collector::new());
+    for k in 1..=3u64 {
+        tree.insert(k, k * 10);
+        assert!(map.map(k * PAGE, k * PAGE + PAGE, k));
+    }
+    let tree_before = tree.to_vec();
+    let map_before = map.to_vec();
+
+    // Key 1 is a leaf under the root: the only allocation of its removal
+    // is the root's replacement, so hit 0 of the site is "first and only".
+    faults::arm_schedule(&[(faults::site::ARENA_ALLOC, 0)]);
+    let err = catch_unwind(AssertUnwindSafe(|| tree.remove(&1)));
+    assert!(err.is_err(), "scheduled alloc fault did not fire (tree)");
+    faults::arm_schedule(&[(faults::site::ARENA_ALLOC, 0)]);
+    let err = catch_unwind(AssertUnwindSafe(|| map.unmap(PAGE)));
+    assert!(err.is_err(), "scheduled alloc fault did not fire (map)");
+    faults::disarm();
+    assert_eq!(tree.to_vec(), tree_before, "failed remove changed the tree");
+    assert_eq!(map.to_vec(), map_before, "failed unmap changed the map");
+
+    // The next commits use the same scratches. With a stale replaced list
+    // they retire key 1's node; once the grace period recycles its block,
+    // the churn below rebuilds other nodes on top of it.
+    for round in 0..64u64 {
+        tree.insert(100 + round % 8, round);
+        tree.remove(&(100 + round % 8));
+        let s = (8 + round % 8) * PAGE;
+        assert!(map.map(s, s + PAGE, round));
+        assert_eq!(map.unmap(s), Some(round));
+        tree.collector().synchronize();
+        map.collector().synchronize();
+    }
+    tree.check_invariants();
+    assert_eq!(
+        tree.to_vec(),
+        tree_before,
+        "a node still in the tree was retired"
+    );
+    assert_eq!(
+        map.to_vec(),
+        map_before,
+        "a node still in the map was retired"
+    );
+    RangeMap::check_family_invariants(&[&map]);
+    assert_eq!(tree.remove(&1), Some(10));
+    assert_eq!(map.unmap(PAGE), Some(1));
+    for c in [tree.collector(), map.collector()] {
+        c.synchronize();
+        let s = c.stats();
+        assert_eq!(s.objects_retired, s.objects_freed);
+    }
+}
+
 /// Graceful degradation end-to-end: a reader pinned across heavy churn on
 /// the hybrid backend keeps `peak_unreclaimed_bytes` bounded (the epoch
 /// backends grow without bound here), and once the blocked garbage

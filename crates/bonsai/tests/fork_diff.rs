@@ -17,6 +17,14 @@
 //! `freed < retired`... and a double retirement as a double free long
 //! before the counters disagree.
 //!
+//! A tree that has never been forked runs without the counting protocol
+//! (every count is 1; see `docs/CONCURRENCY.md` §9), so the lineage tests
+//! also cross that boundary on purpose: a map is mutated for thousands of
+//! operations *before* its first fork, and the family is audited on both
+//! sides of it — every reachable node's count equals its in-degree over
+//! the family's live roots, and the arena family's block ledger balances
+//! against the nodes those roots reach.
+//!
 //! Everything runs on all four reclamation backends.
 
 use std::collections::BTreeMap;
@@ -154,6 +162,9 @@ fn run_tree_diff(kind: ReclaimKind, seed: u64, steps: u64) {
             for l in &lineages {
                 l.check_full();
             }
+            // Refcount audit: `lineages` is the whole live family.
+            let family: Vec<&BonsaiTree<u64, u64>> = lineages.iter().map(|l| &l.tree).collect();
+            BonsaiTree::check_family_invariants(&family);
         }
     }
     for l in &lineages {
@@ -395,6 +406,108 @@ fn fork_chain_drop_orderings_balance_reclaim_stats() {
             assert_eq!(
                 s.objects_retired, s.objects_freed,
                 "{kind:?} drop order {order:?}: leak or double retirement"
+            );
+            assert_eq!(s.bytes_retired, s.bytes_freed);
+        }
+    }
+}
+
+/// Drains `backend`, then audits `family` — every live lineage of one
+/// map family: model-equal contents, tree invariants, reference counts
+/// against in-degrees, and the arena block ledger.
+fn audit_family(backend: &ReclaimBackend, family: &[&MapLineage]) {
+    backend.synchronize();
+    for l in family {
+        l.check_full();
+        assert_eq!(l.map.len(), l.model.len(), "lineage {}", l.id);
+    }
+    let maps: Vec<&RangeMap<u64>> = family.iter().map(|l| &l.map).collect();
+    RangeMap::check_family_invariants(&maps);
+}
+
+/// The never-forked → first-fork transition, on every backend and in both
+/// exit orders: a fresh map runs a few thousand operations with the
+/// counting protocol off (every count 1, replaced nodes listed, blocks in
+/// use == regions mapped — the leak oracle for the list-based retire
+/// path), forks, and both lineages keep mutating with it on; the child
+/// forks again; then the lineages exit oldest-first or youngest-first,
+/// the survivors audited after each exit.
+#[test]
+fn first_fork_transition_keeps_counts_and_blocks_exact() {
+    let ops = if cfg!(miri) { 150 } else { 3000 };
+    for kind in [
+        ReclaimKind::Epoch,
+        ReclaimKind::Qsbr,
+        ReclaimKind::Hp,
+        ReclaimKind::Hybrid,
+    ] {
+        for oldest_first in [true, false] {
+            let backend = ReclaimBackend::new(kind);
+            let mut rng = Rng(0x5eed_0003 ^ kind as u64);
+            let mut parent = MapLineage {
+                map: RangeMap::with_backend(backend.clone()),
+                model: BTreeMap::new(),
+                id: 0,
+            };
+            for _ in 0..ops {
+                parent.mutate(&mut rng);
+            }
+            audit_family(&backend, &[&parent]);
+            let s = backend.stats();
+            assert!(s.objects_retired > 0, "{kind:?}: nothing retired unshared");
+            assert_eq!(
+                s.objects_retired, s.objects_freed,
+                "{kind:?}: unshared leak"
+            );
+
+            let mut child = MapLineage {
+                map: parent.map.fork(),
+                model: parent.model.clone(),
+                id: 1,
+            };
+            audit_family(&backend, &[&parent, &child]);
+            for _ in 0..ops / 4 {
+                parent.mutate(&mut rng);
+                child.mutate(&mut rng);
+            }
+            audit_family(&backend, &[&parent, &child]);
+
+            let mut grandchild = MapLineage {
+                map: child.map.fork(),
+                model: child.model.clone(),
+                id: 2,
+            };
+            for _ in 0..ops / 4 {
+                parent.mutate(&mut rng);
+                child.mutate(&mut rng);
+                grandchild.mutate(&mut rng);
+            }
+            audit_family(&backend, &[&parent, &child, &grandchild]);
+
+            if oldest_first {
+                drop(parent);
+                audit_family(&backend, &[&child, &grandchild]);
+                drop(child);
+                for _ in 0..ops / 8 {
+                    grandchild.mutate(&mut rng);
+                }
+                audit_family(&backend, &[&grandchild]);
+                drop(grandchild);
+            } else {
+                drop(grandchild);
+                audit_family(&backend, &[&parent, &child]);
+                drop(child);
+                for _ in 0..ops / 8 {
+                    parent.mutate(&mut rng);
+                }
+                audit_family(&backend, &[&parent]);
+                drop(parent);
+            }
+            backend.synchronize();
+            let s = backend.stats();
+            assert_eq!(
+                s.objects_retired, s.objects_freed,
+                "{kind:?} oldest_first={oldest_first}: leak or double retirement"
             );
             assert_eq!(s.bytes_retired, s.bytes_freed);
         }

@@ -25,6 +25,13 @@ fn stress_overlapping_writers() {
 }
 
 #[test]
+fn stress_parked_waiter_vs_releasing_holder() {
+    for _ in 0..ITERS {
+        scenarios::parked_waiter_vs_releasing_holder();
+    }
+}
+
+#[test]
 fn stress_opposite_stripe_order_writers() {
     for _ in 0..ITERS {
         scenarios::opposite_stripe_order_writers();

@@ -203,17 +203,22 @@ pub fn arena_recycle_vs_reader() {
     assert_eq!(s.objects_retired, s.objects_freed);
 }
 
-/// Treiber pop vs. recycle push on the arena free list: a standalone
-/// `BonsaiTree` has exactly one writer scratch, so every insert's
-/// allocation pops that scratch's arena free list — while a concurrent
-/// `collect()` firing an earlier remove's retirement batch *pushes* the
-/// recycled blocks onto the same list from the driver thread. That is the
-/// multi-producer/single-consumer race the audit relaxed to
-/// `Release`-CAS push / `Acquire`-load+CAS pop: the block's link write and
-/// payload drop must be visible to the popper before the block is, in
-/// every schedule (and, under `LOOMETTE_MODEL=tso`, with the pusher's link
-/// store buffered until its CAS drains). A torn block would surface as a
-/// broken invariant or a wrong final map.
+/// The arena's owner vs. a recycling thread: a standalone `BonsaiTree`
+/// has exactly one writer scratch, so every insert's allocation pops that
+/// scratch's private stack and, when it is dry, takes the arena's whole
+/// shared list with one `swap` — while a concurrent `collect()` firing an
+/// earlier remove's retirement batch links the recycled blocks into a
+/// chain and *pushes* it onto that shared list from the driver thread
+/// (under loom the arena carves 4-block chunks, so the set-up below leaves
+/// the private stack dry and the writer's first allocation races the
+/// push). That is the multi-producer/single-consumer pairing of
+/// `Release`-CAS push and `Acquire` swap: the blocks' link writes and
+/// payload drops must be visible to the taker before the blocks are, in
+/// every schedule (and, under `LOOMETTE_MODEL=tso`, with the pusher's
+/// stores buffered until its CAS drains). A torn block would surface as a
+/// broken invariant or a wrong final map. (The name predates the
+/// take-everything consumer: the shared list was a Treiber stack popped
+/// one block at a time.)
 pub fn treiber_recycle_push_vs_alloc_pop() {
     let c = Collector::with_shards(1);
     let tree: Arc<BonsaiTree<u64, u64>> = Arc::new(BonsaiTree::new(c.clone()));
@@ -222,14 +227,14 @@ pub fn treiber_recycle_push_vs_alloc_pop() {
     tree.insert(3, 30);
     // Retire a path-rebuild batch; its recycler is the tree's single
     // scratch arena, so when a collect fires it the blocks push back onto
-    // the very free list the next insert pops.
+    // the very shared list the next insert takes.
     assert_eq!(tree.remove(&2), Some(20));
 
     let driver = {
         let c = c.clone();
         spawn(move || {
             // Two advances past the retirement tag plus the reclaim pass
-            // that runs `push_free` — concurrent with the writer's pops.
+            // that runs `push_chain` — concurrent with the writer's take.
             for _ in 0..3 {
                 c.collect();
             }
@@ -366,6 +371,51 @@ pub fn shared_subtree_retire() {
         s.objects_retired, s.objects_freed,
         "a shared node was stranded (leak) or handed over twice"
     );
+}
+
+/// A parked waiter and a releasing holder: both writers lock exactly
+/// `[0x1000, 0x2000)`, so whichever arrives while the other holds the span
+/// finds the conflict, counts itself in the stripe's `waiting` word and
+/// parks — and the holder's release, which notifies the stripe only when
+/// it reads a non-zero count under the stripe mutex, must wake it. A lost
+/// wakeup is a thread parked forever: the explorer reports it as a
+/// deadlock, the `std` mirror hangs. Every schedule must end in one of
+/// the two serial outcomes.
+pub fn parked_waiter_vs_releasing_holder() {
+    let c = Collector::with_shards(1);
+    let map: Arc<RangeMap<usize>> = Arc::new(RangeMap::with_stripes(c.clone(), 2));
+    assert!(map.map(0x1000, 0x2000, 1));
+
+    let remover = {
+        let map = Arc::clone(&map);
+        // Exact bounds: one acquisition, no widening retry.
+        spawn(move || map.unmap_range(0x1000, 0x2000))
+    };
+    let mapper = {
+        let map = Arc::clone(&map);
+        spawn(move || map.map(0x1000, 0x2000, 2))
+    };
+    let removed = remover.join().unwrap();
+    let mapped = mapper.join().unwrap();
+
+    // The remover always finds region 1 (the mapper can only add a region
+    // once it is gone); the mapper succeeds iff it ran second.
+    assert_eq!(removed, 1, "remover lost its region");
+    let want = if mapped {
+        vec![(0x1000, 0x2000, 2)]
+    } else {
+        vec![]
+    };
+    assert_eq!(map.to_vec(), want, "outcome is not a serial order");
+    assert!(
+        map.contended_acquires() <= 1,
+        "one of two writers waits at most once"
+    );
+    for _ in 0..4 {
+        c.collect();
+    }
+    let s = c.stats();
+    assert_eq!(s.objects_retired, s.objects_freed);
 }
 
 /// Two writers race on *overlapping* spans: one clears `[0x1000, 0x2000)`
