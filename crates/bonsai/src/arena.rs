@@ -11,9 +11,10 @@
 //!   *shared list* with one `swap`, else a chunk's worth of the family
 //!   shelf under one lock, and carves a new chunk only while the arena is
 //!   still warming up;
-//! * **recycle** happens through the collector: a committed update ships
-//!   its replaced nodes as one [`RecycleBatch`] via
-//!   [`Guard::defer_recycle`](rcukit::Guard), and after the grace period
+//! * **recycle** happens through the collector: a committed update adds
+//!   its replaced nodes to its scratch's pending list, which ships as one
+//!   [`RecycleBatch`] via [`Guard::defer_recycle`](rcukit::Guard) once it
+//!   holds a chunk's worth ([`CHUNK_BLOCKS`]), and after the grace period
 //!   the arena (as the batch's [`Recycler`]) drops each payload in place,
 //!   links the blocks into a chain and publishes the chain on the shared
 //!   list with one CAS — a node returns to an arena only after its grace
@@ -62,13 +63,15 @@ use rcukit::{RecycleBatch, Recycler};
 use crate::sync::atomic::{AtomicPtr, AtomicUsize};
 use crate::sync::Mutex;
 
-/// Blocks carved per chunk, and the unit in which blocks move from the
-/// family shelf to a private stack. Amortizes the chunk allocation to
-/// 1/64th of a warming-up update's allocations; steady state allocates no
-/// chunks. The model tier carves tiny chunks, so that a scenario's handful
-/// of updates runs the private stack dry and the take-everything `swap`
-/// and the shelf are explored, not just the pops.
-const CHUNK_BLOCKS: usize = if cfg!(loom) { 4 } else { 64 };
+/// Blocks carved per chunk, the unit in which blocks move from the family
+/// shelf to a private stack, and the size of the retire batch a writer
+/// scratch accumulates before handing it to the backend (see
+/// `WriterScratch::commit`). Amortizes the chunk allocation to 1/64th of a
+/// warming-up update's allocations; steady state allocates no chunks. The
+/// model tier uses tiny chunks, so that a scenario's handful of updates
+/// runs the private stack dry, reaches the take-everything `swap` and the
+/// shelf, and ships retire batches mid-exploration.
+pub(crate) const CHUNK_BLOCKS: usize = if cfg!(loom) { 4 } else { 64 };
 
 /// Cap on pooled batch buffers (one is in use per in-flight retirement; a
 /// single writer rarely has more than a handful pending).

@@ -77,8 +77,9 @@
 //!
 //! The guard also carries a pooled scratch (`S`, in practice the tree's
 //! `WriterScratch` with its node arena), drawn from the lowest covering
-//! stripe's pool, so each concurrently held lock has its own retired /
-//! fresh buffers and arena and the allocation-free write path survives the
+//! stripe's pool, so each concurrently held lock has its own replaced /
+//! fresh buffers, pending retire list and arena, and the allocation-free
+//! write path survives the
 //! move from one mutex-owned scratch to N lock-owned ones. Held spans are
 //! kept in sorted `Vec`s rather than a `BTreeMap`: the per-stripe span
 //! count is tiny (bounded by concurrent writers) and a `Vec`'s capacity
@@ -145,13 +146,6 @@ pub(crate) struct RangeLocks<S> {
     /// rcukit's `bag_locks`.
     #[cfg(debug_assertions)]
     wakes: AtomicU64,
-    /// Creates a scratch on a pool miss (cold path — the pool serves the
-    /// steady state). A factory rather than `S: Default` so every scratch
-    /// of one manager can share family-wide backing state — in practice
-    /// the arena chunk store, whose lifetime argument (a pending batch
-    /// pins every chunk its blocks could live in) depends on all pooled
-    /// scratches drawing on one store.
-    make: Box<dyn Fn() -> S + Send + Sync>,
 }
 
 /// Default stripe count: one per hardware thread, rounded up to a power of
@@ -165,18 +159,15 @@ fn default_stripes() -> usize {
 }
 
 impl<S> RangeLocks<S> {
-    pub(crate) fn new(make: impl Fn() -> S + Send + Sync + 'static) -> Self {
-        Self::with_stripes(default_stripes(), make)
+    pub(crate) fn new() -> Self {
+        Self::with_stripes(default_stripes())
     }
 
     /// Creates a manager with an explicit stripe count (rounded up to a
     /// power of two, clamped to `1..=`[`MAX_STRIPES`]). [`new`](Self::new)
     /// sizes it automatically; this exists for tests and model checking,
     /// which want specific (usually small) stripe geometries.
-    pub(crate) fn with_stripes(
-        stripes: usize,
-        make: impl Fn() -> S + Send + Sync + 'static,
-    ) -> Self {
+    pub(crate) fn with_stripes(stripes: usize) -> Self {
         let stripes = stripes.clamp(1, MAX_STRIPES).next_power_of_two();
         Self {
             stripes: (0..stripes)
@@ -192,7 +183,6 @@ impl<S> RangeLocks<S> {
             contended: AtomicU64::new(0),
             #[cfg(debug_assertions)]
             wakes: AtomicU64::new(0),
-            make: Box::new(make),
         }
     }
 
@@ -225,15 +215,28 @@ impl<S> RangeLocks<S> {
     /// The cost is proportional to the stripes the span covers, not to
     /// the table's size.
     ///
+    /// `make` creates the scratch on a pool miss (cold path — the pool
+    /// serves the steady state). The caller supplies it, rather than the
+    /// manager requiring `S: Default`, so that every scratch of one
+    /// manager can share family-wide backing state — in practice the
+    /// arena chunk store, whose lifetime argument (a pending batch pins
+    /// every chunk its blocks could live in) depends on all pooled
+    /// scratches drawing on one store.
+    ///
     /// `start < end` is required (empty spans could not exclude anything).
-    pub(crate) fn acquire(&self, start: u64, end: u64) -> RangeWriteGuard<'_, S> {
+    pub(crate) fn acquire(
+        &self,
+        start: u64,
+        end: u64,
+        make: impl FnOnce() -> S,
+    ) -> RangeWriteGuard<'_, S> {
         debug_assert!(start < end, "empty or inverted lock span");
         let mask = self.stripe_mask(start, end);
         let mut waited = false;
         loop {
             match self.grant(mask, start, end) {
                 Ok(mut lowest) => {
-                    let scratch = lowest.pool.pop().unwrap_or_else(|| (self.make)());
+                    let scratch = lowest.pool.pop().unwrap_or_else(make);
                     drop(lowest);
                     if waited {
                         // ordering: Relaxed — diagnostic counter.
@@ -357,6 +360,15 @@ impl<S> RangeLocks<S> {
         self.stripe_mask(start, end).trailing_zeros() as usize
     }
 
+    /// Every pooled scratch across all stripes, through `&mut self` — no
+    /// stripe lock, no writer can hold a span — for the owner's drop.
+    pub(crate) fn pooled_mut(&mut self) -> impl Iterator<Item = &mut S> {
+        self.stripes.iter_mut().flat_map(|stripe| {
+            let table = stripe.table.get_mut().unwrap_or_else(|e| e.into_inner());
+            table.pool.iter_mut()
+        })
+    }
+
     /// Folds `f` over every pooled scratch across all stripes. Test and
     /// audit aid; spans currently held (and their lent scratches) are not
     /// visible to it, so call it only while no writer is active.
@@ -466,9 +478,9 @@ mod tests {
 
     #[test]
     fn disjoint_spans_are_both_grantable() {
-        let locks: RangeLocks<()> = RangeLocks::new(Default::default);
-        let a = locks.acquire(0x1000, 0x2000);
-        let b = locks.acquire(0x2000, 0x3000); // adjacent, not overlapping
+        let locks: RangeLocks<()> = RangeLocks::new();
+        let a = locks.acquire(0x1000, 0x2000, Default::default);
+        let b = locks.acquire(0x2000, 0x3000, Default::default); // adjacent, not overlapping
         drop(a);
         drop(b);
         assert_eq!(locks.contended_acquires(), 0);
@@ -479,10 +491,10 @@ mod tests {
     /// never on the spans themselves.
     #[test]
     fn stripe_aliasing_does_not_serialize_disjoint_spans() {
-        let locks: RangeLocks<()> = RangeLocks::with_stripes(2, Default::default);
+        let locks: RangeLocks<()> = RangeLocks::with_stripes(2);
         // Slabs 0 and 2 both map to stripe 0 with two stripes.
-        let a = locks.acquire(0, 0x1000);
-        let b = locks.acquire(2 * SLAB_BYTES, 2 * SLAB_BYTES + 0x1000);
+        let a = locks.acquire(0, 0x1000, Default::default);
+        let b = locks.acquire(2 * SLAB_BYTES, 2 * SLAB_BYTES + 0x1000, Default::default);
         assert_eq!(
             locks.lowest_stripe(0, 0x1000),
             locks.lowest_stripe(2 * SLAB_BYTES, 2 * SLAB_BYTES + 0x1000)
@@ -496,16 +508,20 @@ mod tests {
     /// a later span overlapping only its *last* slab must still block.
     #[test]
     fn multi_stripe_span_excludes_on_every_stripe() {
-        let locks: Arc<RangeLocks<()>> = Arc::new(RangeLocks::with_stripes(4, Default::default));
+        let locks: Arc<RangeLocks<()>> = Arc::new(RangeLocks::with_stripes(4));
         // Covers slabs 0..=2 → stripes {0, 1, 2}.
-        let held = locks.acquire(0, 3 * SLAB_BYTES);
+        let held = locks.acquire(0, 3 * SLAB_BYTES, Default::default);
         let entered = Arc::new(AtomicBool::new(false));
         let t = {
             let locks = Arc::clone(&locks);
             let entered = Arc::clone(&entered);
             thread::spawn(move || {
                 // Overlaps only the tail slab (stripe 2).
-                let _g = locks.acquire(2 * SLAB_BYTES + 0x1000, 2 * SLAB_BYTES + 0x2000);
+                let _g = locks.acquire(
+                    2 * SLAB_BYTES + 0x1000,
+                    2 * SLAB_BYTES + 0x2000,
+                    Default::default,
+                );
                 entered.store(true, Seq);
             })
         };
@@ -532,14 +548,14 @@ mod tests {
     /// 1→0; address-order acquisition would deadlock here.)
     #[test]
     fn opposite_stripe_order_spans_do_not_deadlock() {
-        let locks: Arc<RangeLocks<()>> = Arc::new(RangeLocks::with_stripes(2, Default::default));
+        let locks: Arc<RangeLocks<()>> = Arc::new(RangeLocks::with_stripes(2));
         let threads: Vec<_> = [(0u64, 2 * SLAB_BYTES), (3 * SLAB_BYTES, 5 * SLAB_BYTES)]
             .into_iter()
             .map(|(lo, hi)| {
                 let locks = Arc::clone(&locks);
                 thread::spawn(move || {
                     for _ in 0..200 {
-                        drop(locks.acquire(lo, hi));
+                        drop(locks.acquire(lo, hi, Default::default));
                     }
                 })
             })
@@ -552,14 +568,14 @@ mod tests {
 
     #[test]
     fn overlapping_span_waits_for_release() {
-        let locks: Arc<RangeLocks<()>> = Arc::new(RangeLocks::new(Default::default));
-        let held = locks.acquire(0x1000, 0x3000);
+        let locks: Arc<RangeLocks<()>> = Arc::new(RangeLocks::new());
+        let held = locks.acquire(0x1000, 0x3000, Default::default);
         let entered = Arc::new(AtomicBool::new(false));
         let t = {
             let locks = Arc::clone(&locks);
             let entered = Arc::clone(&entered);
             thread::spawn(move || {
-                let _g = locks.acquire(0x2000, 0x4000); // overlaps [1000,3000)
+                let _g = locks.acquire(0x2000, 0x4000, Default::default); // overlaps [1000,3000)
                 entered.store(true, Seq);
             })
         };
@@ -590,12 +606,12 @@ mod tests {
     /// fork takes alike.
     #[test]
     fn uncontended_releases_issue_no_wakes() {
-        let locks: RangeLocks<()> = RangeLocks::with_stripes(4, Default::default);
+        let locks: RangeLocks<()> = RangeLocks::with_stripes(4);
         for i in 0..10_000u64 {
-            drop(locks.acquire(i * 0x1000, i * 0x1000 + 0x1000));
+            drop(locks.acquire(i * 0x1000, i * 0x1000 + 0x1000, Default::default));
             if i % 64 == 0 {
-                drop(locks.acquire(i * 0x1000, i * 0x1000 + 2 * SLAB_BYTES));
-                drop(locks.acquire(0, u64::MAX));
+                drop(locks.acquire(i * 0x1000, i * 0x1000 + 2 * SLAB_BYTES, Default::default));
+                drop(locks.acquire(0, u64::MAX, Default::default));
             }
         }
         assert_eq!(locks.wakes(), 0);
@@ -605,9 +621,9 @@ mod tests {
 
     #[test]
     fn scratch_is_pooled_across_holders() {
-        let locks: RangeLocks<Vec<u8>> = RangeLocks::new(Default::default);
+        let locks: RangeLocks<Vec<u8>> = RangeLocks::new();
         {
-            let mut g = locks.acquire(0, 10);
+            let mut g = locks.acquire(0, 10, Default::default);
             g.scratch().reserve(1024);
         }
         assert!(
@@ -615,7 +631,7 @@ mod tests {
             "scratch not pooled"
         );
         {
-            let mut g = locks.acquire(5, 15);
+            let mut g = locks.acquire(5, 15, Default::default);
             assert!(g.scratch().capacity() >= 1024, "pooled scratch not reused");
         }
     }
@@ -624,22 +640,22 @@ mod tests {
     /// same-slab successor finds it even on a multi-stripe table.
     #[test]
     fn scratch_returns_to_the_lowest_covering_stripe() {
-        let locks: RangeLocks<Vec<u8>> = RangeLocks::with_stripes(4, Default::default);
+        let locks: RangeLocks<Vec<u8>> = RangeLocks::with_stripes(4);
         {
             // Covers slabs 1..=2 → lowest stripe 1.
-            let mut g = locks.acquire(SLAB_BYTES, 3 * SLAB_BYTES);
+            let mut g = locks.acquire(SLAB_BYTES, 3 * SLAB_BYTES, Default::default);
             g.scratch().reserve(512);
         }
         {
             // Single-slab span in slab 1 → pops stripe 1's pool.
-            let mut g = locks.acquire(SLAB_BYTES, SLAB_BYTES + 0x1000);
+            let mut g = locks.acquire(SLAB_BYTES, SLAB_BYTES + 0x1000, Default::default);
             assert!(g.scratch().capacity() >= 512, "pooled scratch not reused");
         }
     }
 
     #[test]
     fn stripe_mask_covers_wraparound_and_full_table() {
-        let locks: RangeLocks<()> = RangeLocks::with_stripes(4, Default::default);
+        let locks: RangeLocks<()> = RangeLocks::with_stripes(4);
         assert_eq!(locks.stripe_count(), 4);
         // One slab → one stripe.
         assert_eq!(locks.stripe_mask(0, SLAB_BYTES), 0b0001);
@@ -648,7 +664,7 @@ mod tests {
         // >= 4 slabs → all stripes.
         assert_eq!(locks.stripe_mask(0, 64 * SLAB_BYTES), 0b1111);
         // The 64-stripe full mask must not overflow the shift.
-        let wide: RangeLocks<()> = RangeLocks::with_stripes(64, Default::default);
+        let wide: RangeLocks<()> = RangeLocks::with_stripes(64);
         assert_eq!(wide.stripe_mask(0, u64::MAX), !0u64);
     }
 }

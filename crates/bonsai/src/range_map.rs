@@ -137,22 +137,25 @@ where
         Self::assemble(tree, store, stripes)
     }
 
-    /// Wraps an already-built tree (fresh or forked) in a map whose
-    /// pool-miss scratch factory joins `store`'s family.
+    /// Wraps an already-built tree (fresh or forked) in a map over
+    /// `store`'s arena family.
     fn assemble(
         tree: BonsaiTree<u64, Extent<V>>,
         store: Arc<ChunkStore<Node<u64, Extent<V>>>>,
         stripes: Option<usize>,
     ) -> Self {
-        let factory = {
-            let store = store.clone();
-            move || Scratch::with_store(store.clone())
-        };
         let locks = match stripes {
-            Some(n) => RangeLocks::with_stripes(n, factory),
-            None => RangeLocks::new(factory),
+            Some(n) => RangeLocks::with_stripes(n),
+            None => RangeLocks::new(),
         };
         Self { tree, store, locks }
+    }
+
+    /// Acquires the range lock on `[lo, hi)`; a pool miss creates the
+    /// lent scratch in this map's arena family.
+    fn acquire(&self, lo: u64, hi: u64) -> RangeWriteGuard<'_, Scratch<V>> {
+        self.locks
+            .acquire(lo, hi, || Scratch::with_store(self.store.clone()))
     }
 
     /// Snapshots the map in O(1) — the `fork()` of the paper's
@@ -170,7 +173,7 @@ where
     pub fn fork(&self) -> Self {
         with_write_session(
             &self.tree,
-            || self.locks.acquire(0, u64::MAX),
+            || self.acquire(0, u64::MAX),
             |sess, _lock| {
                 let tree = self
                     .tree
@@ -255,11 +258,12 @@ where
     /// reference counts (`BonsaiTree::check_family_invariants`), and the
     /// arena family's block ledger — blocks carved, minus blocks resting
     /// on the shelf and on every live scratch's private stack and shared
+    /// list, minus nodes waiting on every live scratch's pending retire
     /// list, must equal the distinct nodes the lineages reach, so a
     /// retired block that never came back (or came back twice) shows.
     /// Panics on violation. Test/debug aid: `family` must be *every* live
     /// lineage of one family, no writer active, and the backend drained
-    /// (`synchronize`) so no retirement is in flight.
+    /// (`synchronize`) so no shipped retirement is in flight.
     #[doc(hidden)]
     pub fn check_family_invariants(family: &[&Self]) {
         let trees: Vec<_> = family.iter().map(|m| &m.tree).collect();
@@ -269,18 +273,19 @@ where
         let reachable = BonsaiTree::check_family_invariants(&trees);
         let Some(first) = family.first() else { return };
         let (carved, shelved) = first.store.carved_and_shelved();
-        let held: usize = family
-            .iter()
-            .map(|m| {
-                let pooled = m.locks.fold_pooled(0, |sum, s| sum + s.arena.free_blocks());
-                pooled + m.tree.writer_arena_free_blocks()
-            })
-            .sum();
+        let (free, pending) = family.iter().fold((0, 0), |acc, m| {
+            let (free, pending) = m.tree.writer_free_and_pending();
+            m.locks
+                .fold_pooled((acc.0 + free, acc.1 + pending), |(f, p), s| {
+                    (f + s.arena.free_blocks(), p + s.pending_len())
+                })
+        });
         assert_eq!(
-            carved - shelved - held,
+            carved - shelved - free - pending,
             reachable,
             "arena blocks in use disagree with the nodes the family reaches \
-             ({carved} carved, {shelved} shelved, {held} on live arenas' lists)"
+             ({carved} carved, {shelved} shelved, {free} on live arenas' lists, \
+             {pending} pending retirement)"
         );
     }
 
@@ -317,7 +322,7 @@ where
         hi: u64,
         f: impl FnOnce(&WriteSess<'_>, &mut RangeWriteGuard<'_, Scratch<V>>) -> R,
     ) -> R {
-        with_write_session(&self.tree, || self.locks.acquire(lo, hi), f)
+        with_write_session(&self.tree, || self.acquire(lo, hi), f)
     }
 
     /// Maps `[start, end)` to `value`. Returns `false` (and maps nothing)
@@ -624,6 +629,21 @@ where
             .into_iter()
             .map(|(start, extent)| (start, extent.end, extent.value))
             .collect()
+    }
+}
+
+impl<V> Drop for RangeMap<V> {
+    fn drop(&mut self) {
+        // The pooled scratches' pending retire lists go onto the tree's
+        // writer scratch, whose list the tree's drop (next, as a field)
+        // retires with its root release through the backend and its
+        // cached recycler — one family, so any of its arenas may recycle
+        // any of its blocks. `&mut self` means no writer holds a span, so
+        // every scratch is pooled and no stripe needs locking.
+        let writer = self.tree.writer_mut();
+        for scratch in self.locks.pooled_mut() {
+            writer.adopt_pending(scratch);
+        }
     }
 }
 

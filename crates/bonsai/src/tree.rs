@@ -8,12 +8,16 @@
 //! key/value pairs along the root-to-site path into freshly allocated nodes,
 //! rebalancing copy-on-write, and finally swings the root pointer with a
 //! compare-and-swap against the snapshot it rebuilt from. Only *after* a
-//! successful publication are the replaced nodes retired to the tree's
-//! reclamation backend — retiring earlier would let a reader pin after
-//! the retirement yet still reach the nodes through the still-published old
-//! root. Retired nodes are reclaimed only once the backend proves no reader
-//! can still hold them, so concurrent readers traversing the old path never
-//! touch freed memory.
+//! successful publication do the replaced nodes join the writer's pending
+//! retire list — retiring earlier would let a reader pin after the
+//! retirement yet still reach the nodes through the still-published old
+//! root — and the list goes to the tree's reclamation backend one chunk
+//! at a time ([`WriterScratch`]), not once per update: handing a batch
+//! over costs a fence, a few locks and shared-counter updates whatever
+//! its size. Holding an unlinked node longer before retiring it is always
+//! safe (its grace period can only start later). Retired nodes are
+//! reclaimed only once the backend proves no reader can still hold them,
+//! so concurrent readers traversing the old path never touch freed memory.
 //!
 //! # Structural sharing and forks
 //!
@@ -25,19 +29,20 @@
 //! copy-on-write, sharing every untouched subtree. A committed update does
 //! not retire "the replaced path" by listing it — it *releases* the old
 //! version's root reference ([`release`]), and the resulting cascade
-//! retires exactly the nodes no remaining root can reach, stopping at
+//! finds exactly the nodes no remaining root can reach, stopping at
 //! subtrees another lineage still shares. Reclamation *timing* is
-//! unchanged: a node whose count hits zero ships to the backend's grace
-//! period like before, because a reader that pinned before the unlinking
-//! commit may still be traversing it. See `docs/CONCURRENCY.md` §9 for
-//! the per-backend lifetime argument.
+//! unchanged: a node whose count hits zero joins the pending list and
+//! goes through the backend's grace period like any replaced node,
+//! because a reader that pinned before the unlinking commit may still be
+//! traversing it. See `docs/CONCURRENCY.md` §9 for the per-backend
+//! lifetime argument.
 //!
 //! Sharing is paid for only once it exists. Until a tree's first
 //! [`fork`](BonsaiTree::fork) every published node is reachable from one
 //! root through one link, so every count is 1: nodes are born with that
 //! count, an update lists the published nodes it replaces as it rebuilds,
-//! and a successful commit retires the list — no commit gate, no
-//! accounting walk, no release cascade. The first fork sets the tree's
+//! and a successful commit moves the list to the pending list — no commit
+//! gate, no accounting walk, no release cascade. The first fork sets the tree's
 //! `shared` flag and needs no fix-up walk (all-ones is what the counting
 //! protocol would have produced); from then on both lineages count.
 //!
@@ -92,7 +97,7 @@ use rcukit::{
     Collector, Guard, HpDomain, HybridDomain, QsbrDomain, ReclaimBackend, RecycleBatch, Recycler,
 };
 
-use crate::arena::{Arena, ChunkStore};
+use crate::arena::{Arena, ChunkStore, CHUNK_BLOCKS};
 use crate::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize};
 use crate::sync::Mutex;
 
@@ -128,10 +133,12 @@ pub(crate) struct Node<K, V> {
     /// accounting walk, under the tree's commit gate — so a count can
     /// only be incremented by a thread whose own lineage already holds a
     /// counted chain to the node, never resurrected from zero. The node
-    /// is retired when the count returns to zero ([`release`]), which is
-    /// what makes structural sharing across forks sound: replacing or
-    /// dropping a node in one lineage can never free state another
-    /// lineage still reaches. On a never-forked tree the node is born at
+    /// leaves the graph only when the count returns to zero ([`release`]),
+    /// which is what makes structural sharing across forks sound:
+    /// replacing or dropping a node in one lineage can never free state
+    /// another lineage still reaches. (It then waits on the releasing
+    /// writer's pending list for that list's next hand-off to the backend,
+    /// like every replaced node.) On a never-forked tree the node is born at
     /// 1, its final count. Either way the count is never read to decide
     /// whether a node is *fresh*: a concurrent range-locked writer may
     /// rebuild from a root whose publisher has not yet run its post-CAS
@@ -280,7 +287,8 @@ unsafe fn account<K, V>(n: *mut Node<K, V>) {
 /// (the tree's internal mutex, or one of `RangeMap`'s range locks, whose
 /// manager pools one scratch per concurrently held lock).
 ///
-/// The `fresh` and `replaced` buffers are the CAS-retry bookkeeping, and
+/// The `fresh` and `replaced` buffers are the CAS-retry bookkeeping of one
+/// attempt, `pending` is what committed attempts left to retire, and
 /// together with the scratch's [`Arena`] they are the whole
 /// allocation-free write path:
 ///
@@ -288,12 +296,20 @@ unsafe fn account<K, V>(n: *mut Node<K, V>) {
 ///   a failed CAS nothing in it was ever visible to any reader and no
 ///   count was ever touched, so [`Self::discard`] returns every fresh node
 ///   to the arena immediately.
-/// * `replaced` is the retire batch. While the tree is unshared
-///   (`exclusive`) the rebuild pushes each published node it replaces, a
-///   successful commit ([`Self::commit`]) ships the list as is, and a
-///   failed one merely clears it (those nodes are still published). On a
-///   shared tree the commit fills it from the old root's release cascade,
-///   after the accounting walk ([`account`]) has assigned the new counts.
+/// * `replaced` lists, while the tree is unshared (`exclusive`), each
+///   published node the rebuild replaces: a successful commit
+///   ([`Self::commit`]) moves the list to `pending`, and a failed one
+///   merely clears it (those nodes are still published). A shared tree
+///   leaves it empty.
+/// * `pending` outlives the update: every commit appends the nodes it
+///   unlinked — the `replaced` list, or on a shared tree the old root's
+///   release cascade, run after the accounting walk ([`account`]) has
+///   assigned the new counts — and the list ships to the backend as one
+///   deferred batch once it holds [`CHUNK_BLOCKS`] nodes. Every node on
+///   it is unreachable from every root; the attempt-level paths
+///   (`discard`, [`DrainOnUnwind`], [`CommitOnUnwind`]) never touch it.
+///   Whatever a scratch still holds when its tree or map is dropped is
+///   folded into the drop's own retirement.
 /// * `arena` feeds every node allocation ([`BonsaiTree::mk`]) and pools
 ///   the batch buffers; once warm, an update performs zero heap
 ///   allocations (the node blocks, the batch buffer, and — see
@@ -303,6 +319,7 @@ unsafe fn account<K, V>(n: *mut Node<K, V>) {
 pub(crate) struct WriterScratch<K, V> {
     fresh: Vec<*mut Node<K, V>>,
     replaced: RecycleBatch,
+    pending: RecycleBatch,
     /// The slab arena this scratch allocates nodes from and retires them
     /// to. Sibling scratches' nodes may also recycle here; see
     /// `crate::arena` on block migration.
@@ -320,12 +337,13 @@ pub(crate) struct WriterScratch<K, V> {
     exclusive: bool,
 }
 
-// Safety: the pointer buffers are drained before the writer lock is
-// released (every update either commits or discards), so a
-// `WriterScratch` observed outside a critical section never carries
-// pointers; moving the empty buffers (and the `Send + Sync` arena handle)
-// across threads is sound, and inside a critical section the scratch is
-// confined to the lock-holding thread.
+// Safety: the per-attempt buffers are drained before the writer lock is
+// released (every update either commits or discards), and inside a
+// critical section the scratch is confined to the lock-holding thread.
+// What a scratch carries between critical sections is `pending`: nodes
+// unreachable from every root, owned by this scratch alone until they
+// ship, whose payloads are `K: Send + V: Send` — moving them (and the
+// `Send + Sync` arena handle) across threads is sound.
 unsafe impl<K: Send, V: Send> Send for WriterScratch<K, V> {}
 
 impl<K, V> Default for WriterScratch<K, V> {
@@ -350,6 +368,7 @@ impl<K, V> WriterScratch<K, V> {
         Self {
             fresh: Vec::new(),
             replaced: RecycleBatch::new(),
+            pending: RecycleBatch::new(),
             arena: Arena::with_store(store),
             addrs: Vec::new(),
             birth_era: 0,
@@ -377,8 +396,24 @@ impl<K, V> WriterScratch<K, V> {
         self.arena.chunks()
     }
 
-    /// Whether both pointer buffers are empty — every update must start
-    /// and end in this state.
+    /// Nodes waiting on the pending retire list: neither reachable nor
+    /// free (audit aid for `RangeMap::check_family_invariants`).
+    pub(crate) fn pending_len(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// Moves `other`'s pending retire list onto this one's — how a map
+    /// being dropped hands its pooled scratches' lists to its tree, whose
+    /// drop retires them with its own. Both scratches must belong to one
+    /// arena family (any family arena may recycle any family block).
+    pub(crate) fn adopt_pending(&mut self, other: &mut Self) {
+        for p in other.pending.drain() {
+            self.pending.push(p);
+        }
+    }
+
+    /// Whether both per-attempt buffers are empty — every update must
+    /// start and end in this state (`pending` is not per-attempt).
     fn is_drained(&self) -> bool {
         self.fresh.is_empty() && self.replaced.is_empty()
     }
@@ -463,10 +498,11 @@ impl<K, V> Drop for DrainOnUnwind<'_, K, V> {
 }
 
 /// Unwind guard for the post-CAS window: once the root CAS succeeds the
-/// new version is published, so the commit accounting (retire the
-/// replaced version, settle reference counts) and the length update are
-/// owed no matter how the attempt exits — an injected `tree.post_cas`
-/// panic included. Runs both on drop, while the caller's commit gate is
+/// new version is published, so the commit accounting (settle reference
+/// counts, move the replaced version to the pending retire list) and the
+/// length update are owed no matter how the attempt exits — an injected
+/// `tree.post_cas` panic included. Runs both on drop, while the caller's
+/// commit gate is
 /// still held (locals unwind innermost-first), preserving version-order
 /// accounting; `commit` leaves the scratch drained, so the outer
 /// [`DrainOnUnwind`] then has nothing to discard.
@@ -495,12 +531,14 @@ impl<K: Send + 'static, V: Send + 'static> Drop for CommitOnUnwind<'_, '_, K, V>
 }
 
 impl<K: Send + 'static, V: Send + 'static> WriterScratch<K, V> {
-    /// Publication succeeded: retire what the update replaced. On an
-    /// unshared tree that is the `replaced` list the rebuild made, as is —
-    /// exactly the nodes a release cascade would have found, each having
-    /// been reachable through one link from one root. On a shared tree the reference counts are settled first, in the
-    /// only sound order and under the tree's commit gate (held by the
-    /// caller across CAS → commit, so accounting runs in version order).
+    /// Publication succeeded: move what the update replaced to the
+    /// pending retire list. On an unshared tree that is the `replaced`
+    /// list the rebuild made, as is — exactly the nodes a release cascade
+    /// would have found, each having been reachable through one link from
+    /// one root. On a shared tree the reference counts are settled first,
+    /// in the only sound order and under the tree's commit gate (held by
+    /// the caller across CAS → commit, so accounting runs in version
+    /// order).
     ///
     /// 1. [`account`] the new version from `new_root`: kept fresh nodes
     ///    take their single new-tree reference, published nodes newly
@@ -510,24 +548,31 @@ impl<K: Send + 'static, V: Send + 'static> WriterScratch<K, V> {
     ///    not-yet-released chain.
     /// 2. Free rotated-away fresh nodes (count still zero: absent from
     ///    the new tree, never published) back to the arena immediately.
-    /// 3. Release the old version's root reference; the cascade retires
+    /// 3. Release the old version's root reference; the cascade collects
     ///    exactly the nodes no remaining root — this tree's new version,
     ///    or any forked lineage — can reach.
     ///
-    /// Everything retired ships as one deferred recycle batch — a
-    /// single retire-tag sample (and its StoreLoad fence) per update,
-    /// zero allocations once the arena's batch pool is warm (on the HP
-    /// backend the batch is split per pointer so each node reclaims as
-    /// soon as no slot protects *it*). After the backend's grace
-    /// condition the arena drops each payload in place and reclaims the
-    /// blocks.
+    /// Once the pending list holds [`CHUNK_BLOCKS`] nodes it ships as one
+    /// deferred recycle batch — a single retire-tag sample (and its
+    /// StoreLoad fence), bag entry and set of shared-counter updates per
+    /// chunk instead of per update, zero allocations once the arena's
+    /// batch pool is warm (on the HP backend the batch is split per
+    /// pointer so each node reclaims as soon as no slot protects *it*).
+    /// Shipping a node later than its commit only samples a later retire
+    /// tag, so its grace period covers every reader the commit-time tag
+    /// would have. After the backend's grace condition the arena drops
+    /// each payload in place and reclaims the blocks.
     fn commit(
         &mut self,
         sess: &WriteSess<'_>,
         old_root: *mut Node<K, V>,
         new_root: *mut Node<K, V>,
     ) {
-        if !self.exclusive {
+        if self.exclusive {
+            for p in self.replaced.drain() {
+                self.pending.push(p);
+            }
+        } else {
             // Safety: `new_root` was just published under the held commit
             // gate; fresh children are this update's own, published ones
             // are held up by the old version until the release below.
@@ -545,18 +590,19 @@ impl<K: Send + 'static, V: Send + 'static> WriterScratch<K, V> {
             // Safety: dropping the replaced version's root-pointer
             // reference; the cascade stops at subtrees the new version or
             // a forked lineage still references.
-            unsafe { release(old_root, &mut self.replaced) };
+            unsafe { release(old_root, &mut self.pending) };
         }
         self.fresh.clear();
-        if self.replaced.is_empty() {
+        if self.pending.len() < CHUNK_BLOCKS {
             return;
         }
-        let batch = std::mem::replace(&mut self.replaced, self.arena.take_batch());
-        // Safety: every batched pointer left the graph under a still-held
-        // write session (listed as replaced on the only root that reached
-        // it, or released to a zero count): no root reaches it anymore, so
-        // only readers already inside a critical section can, and the
-        // grace period covers exactly those.
+        let batch = std::mem::replace(&mut self.pending, self.arena.take_batch());
+        // Safety: every batched pointer left the graph under a write
+        // session of this tree family (listed as replaced on the only root
+        // that reached it, or released to a zero count) and sat on this
+        // scratch's list since: no root reaches it anymore, so only
+        // readers already inside a critical section can, and the grace
+        // period starting now covers exactly those.
         unsafe { self.defer_batch(sess, batch) };
     }
 
@@ -766,15 +812,17 @@ pub(crate) fn with_write_session<K, V, T, R>(
 /// * Updates ([`insert`](Self::insert), [`remove`](Self::remove))
 ///   serialize on an internal writer mutex — the paper's single-writer
 ///   address-space lock — rebuild the root-to-site path copy-on-write,
-///   publish the new root by CAS, and only then retire the replaced nodes
-///   to the collector for grace-period reclamation. The CAS commit makes
+///   publish the new root by CAS, and only then queue the replaced nodes
+///   for retirement; the queue goes to the collector for grace-period
+///   reclamation a chunk at a time. The CAS commit makes
 ///   the crate-internal entry points safe under *concurrent* writers
 ///   (`RangeMap` runs them under per-span range locks); only the public
 ///   `insert`/`remove` pair takes the serializing mutex.
 pub struct BonsaiTree<K, V> {
     root: AtomicPtr<Node<K, V>>,
     /// Serializes writers (the paper's per-address-space update lock) and
-    /// owns the reusable retired-node scratch buffer. Lock sites recover
+    /// owns the writer scratch (its buffers, arena and pending retire
+    /// list). Lock sites recover
     /// from poisoning (`into_inner`): [`DrainOnUnwind`] guarantees an
     /// unwinding update leaves the scratch drained and the post-CAS guard
     /// completes any published commit, so a poisoned mutex still guards a
@@ -816,8 +864,8 @@ pub struct BonsaiTree<K, V> {
     cas_wasted: AtomicU64,
     /// The writer scratch's arena recycler, cached at construction (where
     /// the `K: Send + 'static, V: Send + 'static` bounds are in scope) so
-    /// the unbounded [`Drop`] impl can defer the final release cascade
-    /// through the backend.
+    /// the unbounded [`Drop`] impl can defer the final release cascade and
+    /// the pending retire lists through the backend.
     recycler: Arc<dyn Recycler>,
 }
 
@@ -987,11 +1035,12 @@ where
             .arena_chunks()
     }
 
-    /// Free blocks resting in the writer scratch's arena (audit aid for
+    /// Free blocks resting in the writer scratch's arena, and nodes on its
+    /// pending retire list (audit aid for
     /// `RangeMap::check_family_invariants`).
-    pub(crate) fn writer_arena_free_blocks(&self) -> usize {
+    pub(crate) fn writer_free_and_pending(&self) -> (usize, usize) {
         let writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
-        writer.arena.free_blocks()
+        (writer.arena.free_blocks(), writer.pending_len())
     }
 
     /// Root-CAS commits that lost to a concurrent writer and had to
@@ -2082,6 +2131,15 @@ where
     }
 }
 
+impl<K, V> BonsaiTree<K, V> {
+    /// The mutex-owned writer scratch, reached through `&mut self` (no
+    /// lock): how a map being dropped moves its pooled scratches' pending
+    /// lists onto the one this tree's drop retires.
+    pub(crate) fn writer_mut(&mut self) -> &mut WriterScratch<K, V> {
+        self.writer.get_mut().unwrap_or_else(|e| e.into_inner())
+    }
+}
+
 impl<K, V> Drop for BonsaiTree<K, V> {
     fn drop(&mut self) {
         // Dropping a tree releases its root-pointer reference — it must
@@ -2092,9 +2150,10 @@ impl<K, V> Drop for BonsaiTree<K, V> {
         // shared — may still be traversing nodes this release is last to
         // drop. So the cascade's batch takes the backend's grace period
         // like any commit's. `&mut self` guarantees only that *this*
-        // tree has no readers or writers left.
-        let scratch = self.writer.get_mut().unwrap_or_else(|e| e.into_inner());
-        let mut batch = std::mem::take(&mut scratch.replaced);
+        // tree has no readers or writers left. The writer scratch's
+        // pending list (plus whatever a dropping `RangeMap` moved onto
+        // it from its pooled scratches) rides in the same batch.
+        let mut batch = std::mem::take(&mut self.writer_mut().pending);
         // ordering: Relaxed — `&mut self` proves exclusive access, so no
         // concurrent writer exists (and loomette's atomics have no
         // `get_mut`; an unordered load is the same thing here).
@@ -2107,10 +2166,12 @@ impl<K, V> Drop for BonsaiTree<K, V> {
         }
         let bytes = batch.len() * std::mem::size_of::<Node<K, V>>();
         let recycler = self.recycler.clone();
-        // Safety: every batched pointer hit refcount zero, so no remaining
-        // lineage reaches it; only readers of other lineages already
-        // inside a critical section can, and the grace period covers
-        // exactly those. `recycler` was cached at construction, where the
+        // Safety: every batched pointer hit refcount zero (or was listed
+        // as replaced by a committed update), so no remaining lineage
+        // reaches it; only readers already inside a critical section can,
+        // and the grace period covers exactly those. Blocks allocated by
+        // any arena of the family may go to `recycler`, which belongs to
+        // the same family. `recycler` was cached at construction, where the
         // `K: Send + 'static, V: Send + 'static` bounds every constructor
         // carries were in scope — so the payload is `Send`.
         unsafe {

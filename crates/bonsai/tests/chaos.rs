@@ -659,6 +659,133 @@ fn failed_first_allocation_leaves_no_replaced_node_behind() {
     }
 }
 
+/// Faults while a writer scratch holds a partial retire batch. A
+/// `tree.post_cas` panic publishes its update, so its unwind guard must
+/// still add the replaced nodes to the pending list; an `arena.alloc`
+/// panic publishes nothing, and its discard must leave the list alone.
+/// Each faulted tree or map runs beside a fault-free twin doing the same
+/// published updates: a never-forked structure eventually retires every
+/// node it ever published, exactly once, so the two backends' totals
+/// agree exactly — a pending node discarded leaves the faulted total
+/// short, one listed twice leaves it long — and each drains byte-exact.
+#[test]
+fn faults_with_a_partial_batch_pending_lose_and_repeat_nothing() {
+    let _s = serial();
+    silence_injected_panics();
+    let _replay = ReplayOnFailure;
+
+    let fault_both = |post_cas: &dyn Fn(), alloc: &dyn Fn(), faulted: &ReclaimBackend| {
+        let shipped = faulted.stats().objects_retired;
+        faults::arm_schedule(&[(faults::site::TREE_POST_CAS, 0)]);
+        assert!(
+            catch_unwind(AssertUnwindSafe(post_cas)).is_err(),
+            "post-CAS fault missed"
+        );
+        faults::arm_schedule(&[(faults::site::ARENA_ALLOC, 1)]);
+        assert!(
+            catch_unwind(AssertUnwindSafe(alloc)).is_err(),
+            "alloc fault missed"
+        );
+        faults::disarm();
+        assert_eq!(
+            faulted.stats().objects_retired,
+            shipped,
+            "the faults fired with nothing pending"
+        );
+    };
+    let drained_alike = |kind: ReclaimKind, faulted: &ReclaimBackend, twin: &ReclaimBackend| {
+        faulted.synchronize();
+        twin.synchronize();
+        let (f, t) = (faulted.stats(), twin.stats());
+        assert!(f.objects_retired > 0, "{kind:?}: nothing retired");
+        assert_eq!(
+            (f.objects_retired, f.bytes_retired),
+            (t.objects_retired, t.bytes_retired),
+            "{kind:?}: pending nodes lost or retired twice"
+        );
+        assert_eq!(
+            (f.objects_retired, f.bytes_retired),
+            (f.objects_freed, f.bytes_freed),
+            "{kind:?}: faulted backend did not drain"
+        );
+    };
+
+    for kind in ALL_KINDS {
+        let (faulted, twin) = (ReclaimBackend::new(kind), ReclaimBackend::new(kind));
+        let tree: BonsaiTree<u64, u64> = BonsaiTree::with_backend(faulted.clone());
+        let same: BonsaiTree<u64, u64> = BonsaiTree::with_backend(twin.clone());
+        for k in 0..8 {
+            tree.insert(k, k);
+            same.insert(k, k);
+        }
+        assert_eq!(
+            faulted.stats().objects_retired,
+            0,
+            "{kind:?}: batch shipped"
+        );
+        fault_both(
+            &|| {
+                tree.insert(3, 30);
+            },
+            &|| {
+                tree.insert(100, 1);
+            },
+            &faulted,
+        );
+        same.insert(3, 30);
+        assert_eq!(tree.to_vec(), same.to_vec(), "{kind:?}");
+        // Churn on past several shipped batches, then tear down.
+        for i in 0..400 {
+            let k = 8 + i % 16;
+            for t in [&tree, &same] {
+                t.insert(k, i);
+                t.remove(&k);
+            }
+        }
+        tree.check_invariants();
+        drop((tree, same));
+        drained_alike(kind, &faulted, &twin);
+
+        let (faulted, twin) = (ReclaimBackend::new(kind), ReclaimBackend::new(kind));
+        let map: RangeMap<u64> = RangeMap::with_backend(faulted.clone());
+        let same: RangeMap<u64> = RangeMap::with_backend(twin.clone());
+        // Every span below stays inside the first 64 KiB range-lock slab,
+        // so all of them draw the one pooled scratch the faults must hit
+        // with its partial batch.
+        for m in [&map, &same] {
+            for slot in 0..6 {
+                assert!(m.map(slot * 2 * PAGE, slot * 2 * PAGE + PAGE, slot));
+            }
+        }
+        assert_eq!(
+            faulted.stats().objects_retired,
+            0,
+            "{kind:?}: batch shipped"
+        );
+        fault_both(
+            &|| {
+                map.map(13 * PAGE, 14 * PAGE, 13);
+            },
+            &|| {
+                map.map(15 * PAGE, 16 * PAGE, 15);
+            },
+            &faulted,
+        );
+        assert!(same.map(13 * PAGE, 14 * PAGE, 13));
+        assert_eq!(map.to_vec(), same.to_vec(), "{kind:?}");
+        assert_eq!(map.held_range_locks(), 0, "{kind:?}");
+        for i in 0..400 {
+            let s = (1 + 2 * (i % 6)) * PAGE;
+            for m in [&map, &same] {
+                assert!(m.map(s, s + PAGE, i));
+                assert_eq!(m.unmap(s), Some(i));
+            }
+        }
+        drop((map, same));
+        drained_alike(kind, &faulted, &twin);
+    }
+}
+
 /// Graceful degradation end-to-end: a reader pinned across heavy churn on
 /// the hybrid backend keeps `peak_unreclaimed_bytes` bounded (the epoch
 /// backends grow without bound here), and once the blocked garbage

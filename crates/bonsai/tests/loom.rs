@@ -55,6 +55,13 @@ fn loom_arena_recycle_vs_reader() {
 }
 
 #[test]
+fn loom_reader_vs_pending_ship() {
+    let runs = loomette::Explorer::default().explore(scenarios::reader_vs_pending_ship);
+    eprintln!("reader_vs_pending_ship: {runs} schedules");
+    assert!(runs > 500, "exploration degenerated to {runs} schedule(s)");
+}
+
+#[test]
 fn loom_treiber_recycle_push_vs_alloc_pop() {
     let runs = loomette::Explorer::default().explore(scenarios::treiber_recycle_push_vs_alloc_pop);
     eprintln!("treiber_recycle_push_vs_alloc_pop: {runs} schedules");

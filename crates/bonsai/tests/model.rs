@@ -46,6 +46,13 @@ fn stress_arena_recycle_vs_reader() {
 }
 
 #[test]
+fn stress_reader_vs_pending_ship() {
+    for _ in 0..ITERS {
+        scenarios::reader_vs_pending_ship();
+    }
+}
+
+#[test]
 fn stress_treiber_recycle_push_vs_alloc_pop() {
     for _ in 0..ITERS {
         scenarios::treiber_recycle_push_vs_alloc_pop();

@@ -17,6 +17,12 @@
 //! (state-space blowup); reclamation is driven by writer unpins (collect
 //! throttle disabled) plus a bounded explicit drain, and models are kept
 //! to one mutation per writer so exhaustive exploration stays feasible.
+//!
+//! Writers hand replaced nodes to the collector a chunk at a time (4 under
+//! the model checker, 64 otherwise), so a scenario whose few updates must
+//! retire something inside the explored region first fills the writer's
+//! pending list ([`fill_pending`], or [`prime_pending`] when a recycled
+//! batch should be waiting too).
 
 use std::sync::Arc;
 
@@ -28,11 +34,66 @@ use loomette::thread::spawn;
 #[cfg(not(loom))]
 use std::thread::spawn;
 
+/// Objects the collector has been handed so far.
+fn retired(c: &Collector) -> u64 {
+    c.stats().objects_retired
+}
+
+/// Truncates the region `[start, *end)` by its last byte. The region must
+/// be the tree's root, so the truncation — a replace at key `start` —
+/// rebuilds and replaces exactly one published node. Returns the objects
+/// that shipped to the collector meanwhile.
+fn trim_root(c: &Collector, map: &RangeMap<usize>, start: u64, end: &mut u64) -> u64 {
+    let before = retired(c);
+    *end -= 1;
+    assert!(*end > start, "trimmed the root region away");
+    assert_eq!(map.unmap_range(*end, *end + 1), 1, "root region vanished");
+    retired(c) - before
+}
+
+/// Nodes a writer scratch lists before its pending list ships: `bonsai`'s
+/// `CHUNK_BLOCKS`, mirrored. [`fill_pending`], [`prime_pending`] and each
+/// scenario's "a batch shipped" assertion fail if the two drift apart.
+const RETIRE_CHUNK: u64 = if cfg!(loom) { 4 } else { 64 };
+
+/// Adds exactly `n` nodes to the pending list of the scratch that slab-0
+/// writers share, by `n` trims of the root region `[start, *end)`, none of
+/// which may ship the list. Single-threaded: under the model checker a
+/// prefix with no thread interleavings to explore.
+fn fill_pending(c: &Collector, map: &RangeMap<usize>, start: u64, end: &mut u64, n: u64) {
+    for _ in 0..n {
+        assert_eq!(
+            trim_root(c, map, start, end),
+            0,
+            "pending list shipped early"
+        );
+    }
+}
+
+/// Ships one batch from the scratch that slab-0 writers share — trimming
+/// the root region until one ships, which is then exactly one chunk since
+/// every trim adds one node — and refills its pending list to `short_by`
+/// nodes short of the next chunk. Scenarios whose writers must reuse
+/// recycled blocks prime this way: with the collect throttle at 1, the
+/// refill's unpins advance the epoch past the shipped batch and recycle it.
+fn prime_pending(c: &Collector, map: &RangeMap<usize>, start: u64, end: &mut u64, short_by: u64) {
+    let shipped = loop {
+        match trim_root(c, map, start, end) {
+            0 => {}
+            n => break n,
+        }
+    };
+    assert_eq!(shipped, RETIRE_CHUNK, "a retire batch of {shipped} nodes");
+    fill_pending(c, map, start, end, RETIRE_CHUNK - short_by);
+}
+
 /// Two writers unmap *disjoint* regions while a reader translates one of
 /// them: in every schedule both writers complete (no deadlock — their
 /// range locks never conflict, so neither ever waits), the reader sees
-/// either the region or nothing (never a foreign payload), and a bounded
-/// drain reclaims exactly what was retired.
+/// either the region or nothing (never a foreign payload), the writer
+/// that draws the primed scratch ships a retire batch, dropping the map
+/// retires what its scratches still held, and a bounded drain reclaims
+/// exactly what was retired.
 pub fn disjoint_writers() {
     let c = Collector::with_shards(1);
     // The default collect throttle keeps writer unpins off the registry/
@@ -42,8 +103,16 @@ pub fn disjoint_writers() {
     // range locks, the root CAS, and retirement. Reclamation is driven by
     // the bounded explicit drain below instead.
     let map: Arc<RangeMap<usize>> = Arc::new(RangeMap::new(c.clone()));
-    assert!(map.map(0x1000, 0x2000, 1));
+    let mut end = 0x2000;
+    assert!(map.map(0x1000, end, 1));
     assert!(map.map(0x3000, 0x4000, 2));
+    // The second map listed the root it replaced; filling to one node
+    // short of a chunk means whichever writer draws the pooled scratch (a
+    // concurrent second writer gets a fresh one) replaces at least one
+    // node and ships the batch. Nothing ships in this prefix, which keeps
+    // the three-thread model inside the checker's budget under `tso`.
+    fill_pending(&c, &map, 0x1000, &mut end, RETIRE_CHUNK - 2);
+    assert_eq!(retired(&c), 0, "a batch shipped before the writers ran");
 
     // `unmap_range` with the exact region bounds: one writer session each
     // (no widening retry, no pre-read pin), keeping the model small.
@@ -89,20 +158,30 @@ pub fn disjoint_writers() {
         0,
         "disjoint writers contended on the range-lock manager"
     );
+    let shipped = retired(&c);
+    assert!(shipped > 0, "no retire batch shipped while the writers ran");
+    let g = map.pin();
+    assert_eq!(map.lookup(0x1800, &g), None);
+    assert_eq!(map.lookup(0x3800, &g), None);
+    drop(g);
+    // The batch left its list empty, and the other unmap replaced at
+    // least one node after it (on the same scratch or a fresh one):
+    // dropping the map must retire that partial batch.
+    drop(map);
     // Bounded drain: two advances past the newest retirement tag plus a
     // reclaim pass.
     for _ in 0..4 {
         c.collect();
     }
     let s = c.stats();
+    assert!(
+        s.objects_retired > shipped,
+        "dropping the map retired no pending node"
+    );
     assert_eq!(
         s.objects_retired, s.objects_freed,
         "retirements stranded after both disjoint writers finished"
     );
-    assert!(s.objects_retired > 0, "unmaps retired nothing");
-    let g = map.pin();
-    assert_eq!(map.lookup(0x1800, &g), None);
-    assert_eq!(map.lookup(0x3800, &g), None);
 }
 
 /// Two writers on *disjoint* spans whose covering-stripe sets alias the
@@ -155,21 +234,26 @@ pub fn opposite_stripe_order_writers() {
 }
 
 /// Arena recycling vs. a concurrent reader: a writer unmaps a region and
-/// immediately remaps it — with the collect throttle at 1, the unmap's
-/// unpin runs advance-and-reclaim, so in some schedules the retired nodes
-/// recycle into the arena and the remap *reuses their blocks* while the
-/// reader's lookup is mid-walk. The grace period is what makes that safe:
-/// a block returns to the arena only after every pinned reader is gone, so
-/// the reader must observe the old payload, the new payload, or a miss —
-/// never a torn node from a prematurely recycled block.
+/// immediately remaps it — with the collect throttle at 1, every writer
+/// unpin runs advance-and-reclaim, so the batch the set-up shipped has
+/// recycled into the arena, the unmap ships the next one (the set-up
+/// leaves the pending list one node short of a chunk), and in some
+/// schedules the remap *reuses recycled blocks* while the reader's lookup
+/// is mid-walk. The grace period is what makes that safe: a block returns
+/// to the arena only after every pinned reader is gone, so the reader must
+/// observe the old payload, the new payload, or a miss — never a torn
+/// node from a prematurely recycled block.
 pub fn arena_recycle_vs_reader() {
     let c = Collector::with_shards(1);
     c.set_unpin_collect_period(1);
     let map: Arc<RangeMap<usize>> = Arc::new(RangeMap::new(c.clone()));
-    assert!(map.map(0x1000, 0x2000, 1));
+    let mut end = 0x2000;
+    assert!(map.map(0x1000, end, 1));
     // Neighbour region so the rebuilt path has nodes to recycle even on
     // the remove of the last key.
     assert!(map.map(0x3000, 0x4000, 7));
+    prime_pending(&c, &map, 0x1000, &mut end, 1);
+    let primed = retired(&c);
 
     let writer = {
         let map = Arc::clone(&map);
@@ -192,10 +276,71 @@ pub fn arena_recycle_vs_reader() {
     };
     writer.join().unwrap();
     reader.join().unwrap();
+    assert!(
+        retired(&c) > primed,
+        "the unmap shipped no retire batch while the reader ran"
+    );
 
     let g = map.pin();
     assert_eq!(map.lookup(0x1800, &g), Some(&2));
     drop(g);
+    drop(map);
+    for _ in 0..4 {
+        c.collect();
+    }
+    let s = c.stats();
+    assert_eq!(s.objects_retired, s.objects_freed);
+}
+
+/// A reader walks while the writer's pending batch ships: the set-up
+/// leaves the pending list two nodes short of a chunk, so the writer's
+/// first trim of the root region only lists the node it replaces and the
+/// second ships both with the older ones; with the collect throttle at 1
+/// its unpins advance the epoch, and its last update (a new region)
+/// allocates from whatever has recycled. A reader pinned before the first
+/// trim may be walking the very nodes that batch carries, so it must
+/// still see region 1 with one of the three ends it has had — a batch
+/// that shipped a still-published node, or that the epoch let through
+/// under the reader's pin, shows as a torn or foreign region.
+pub fn reader_vs_pending_ship() {
+    let c = Collector::with_shards(1);
+    c.set_unpin_collect_period(1);
+    let map: Arc<RangeMap<usize>> = Arc::new(RangeMap::new(c.clone()));
+    let mut end = 0x2000;
+    assert!(map.map(0x1000, end, 1));
+    assert!(map.map(0x3000, 0x4000, 7));
+    prime_pending(&c, &map, 0x1000, &mut end, 2);
+    let primed = retired(&c);
+    let ends = [end, end - 1, end - 2];
+
+    let writer = {
+        let map = Arc::clone(&map);
+        spawn(move || {
+            for e in [ends[1], ends[2]] {
+                assert_eq!(map.unmap_range(e, e + 1), 1);
+            }
+            assert!(map.map(0x5000, 0x6000, 9));
+        })
+    };
+    let reader = {
+        let map = Arc::clone(&map);
+        spawn(move || {
+            let g = map.pin();
+            let (start, end, &v) = map
+                .translate(0x1800, &g)
+                .expect("region 1 vanished under a reader");
+            assert_eq!((start, v), (0x1000, 1), "reader saw a foreign region");
+            assert!(ends.contains(&end), "reader saw a torn end {end:#x}");
+        })
+    };
+    writer.join().unwrap();
+    reader.join().unwrap();
+    assert!(
+        retired(&c) > primed,
+        "the pending batch did not ship while the reader ran"
+    );
+
+    drop(map);
     for _ in 0..4 {
         c.collect();
     }

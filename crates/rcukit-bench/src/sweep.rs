@@ -638,17 +638,15 @@ fn run_point(
                     (elapsed, tally, ForkMetrics::default())
                 };
                 let read_op_ns = read_microbench(&*space, &spec);
+                let cas = (space.cas_retries(), space.cas_wasted_nodes());
+                // Writers retire a chunk of nodes at a time and a map's
+                // drop hands over the partial chunks: drop the space
+                // before the final drain so `retired == freed` covers
+                // every node the replay replaced.
+                drop(space);
                 reclaim.synchronize();
                 let stats = reclaim.stats();
-                (
-                    elapsed,
-                    tally,
-                    fork,
-                    stats,
-                    space.cas_retries(),
-                    space.cas_wasted_nodes(),
-                    read_op_ns,
-                )
+                (elapsed, tally, fork, stats, cas.0, cas.1, read_op_ns)
             }
             None => {
                 let space = Arc::new(LockedAddressSpace::new());

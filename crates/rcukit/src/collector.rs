@@ -129,6 +129,12 @@ pub(crate) struct LocalState {
     /// opportunistic collect — the collect-throttle counter. Only the
     /// owning thread reads or writes it (plain load/store, no RMW).
     pub(crate) garbage_unpins: AtomicUsize,
+    /// Objects this handle has deferred since its last throttled collect —
+    /// the throttle's second counter, so that advances keep pace with the
+    /// objects retired and not only with the unpins that retired them (a
+    /// writer shipping chunk-sized batches seals far fewer bags than it
+    /// retires nodes). Owner-thread word like `garbage_unpins`.
+    pub(crate) deferred_objects: AtomicUsize,
     /// Index of the home shard holding this thread's registry entry and
     /// receiving its sealed bags.
     pub(crate) shard: usize,
@@ -147,6 +153,7 @@ impl LocalState {
             collect_pending: AtomicBool::new(false),
             bag_dirty: AtomicBool::new(false),
             garbage_unpins: AtomicUsize::new(0),
+            deferred_objects: AtomicUsize::new(0),
             shard,
             bag: Mutex::new(Bag::new(0)),
         }
@@ -190,10 +197,26 @@ impl Shard {
     }
 }
 
+/// The global epoch word, alone on its cache line (128 bytes: a line pair,
+/// for CPUs whose adjacent-line prefetcher couples them). Every reader's
+/// pin loads it, while the statistics counters beside it in [`Inner`] are
+/// read-modify-written by every retiring writer; sharing their line would
+/// turn each writer RMW into a miss on every reader's next pin.
+#[repr(align(128))]
+pub(crate) struct EpochWord(AtomicU64);
+
+impl std::ops::Deref for EpochWord {
+    type Target = AtomicU64;
+
+    fn deref(&self) -> &AtomicU64 {
+        &self.0
+    }
+}
+
 /// Shared collector state behind the [`Collector`] handle.
 pub(crate) struct Inner {
     /// The global epoch.
-    pub(crate) epoch: AtomicU64,
+    pub(crate) epoch: EpochWord,
     /// Per-shard registries and sealed-bag queues.
     shards: Box<[Shard]>,
     /// Round-robin cursor assigning home shards to new registrations.
@@ -488,6 +511,12 @@ impl Inner {
             local.bag_dirty.store(full.is_none(), Relaxed);
             (stale, full)
         };
+        // ordering: Relaxed (load and store) — owner-thread-only counter
+        // (see `LocalState::deferred_objects`): only this thread defers
+        // through `local` and only its own unpins read it, so a load and
+        // a store suffice and no RMW is needed.
+        let deferred = local.deferred_objects.load(Relaxed).saturating_add(objects);
+        local.deferred_objects.store(deferred, Relaxed);
         // ordering: Relaxed (both) — statistics counters.
         self.retired.fetch_add(objects as u64, Relaxed);
         self.retired_bytes.fetch_add(bytes as u64, Relaxed);
@@ -542,22 +571,30 @@ impl Inner {
     /// The collect-throttle gate, consulted by a guard-free outermost unpin
     /// that just sealed garbage: counts the unpin against the handle and
     /// returns whether this one should run the opportunistic collect —
-    /// every [`UNPIN_COLLECT_PERIOD`]-th garbage-bearing unpin, or sooner
-    /// when the handle's home shard has [`QUEUE_COLLECT_THRESHOLD`] sealed
-    /// bags queued (a lock-free read of the shard's length mirror). The
-    /// counter resets only when the collect is due, so skipped unpins
-    /// accumulate toward the next one.
+    /// every [`UNPIN_COLLECT_PERIOD`]-th garbage-bearing unpin, once the
+    /// handle has deferred [`BAG_SEAL_THRESHOLD`] objects since its last
+    /// such collect (so a writer retiring chunk-sized batches advances the
+    /// epoch per chunk, not per eight chunks), or sooner when the handle's
+    /// home shard has [`QUEUE_COLLECT_THRESHOLD`] sealed bags queued (a
+    /// lock-free read of the shard's length mirror). The counters reset
+    /// only when the collect is due, so skipped unpins accumulate toward
+    /// the next one.
     pub(crate) fn unpin_collect_due(&self, local: &LocalState) -> bool {
-        // ordering: Relaxed — owner-thread-only counter (only `local`'s own
-        // thread reads or writes it).
+        // ordering: Relaxed (both) — owner-thread-only counters (only
+        // `local`'s own thread reads or writes them).
         let n = local.garbage_unpins.load(Relaxed) + 1;
+        let deferred = local.deferred_objects.load(Relaxed);
         // ordering: Relaxed (both) — the period is a config knob whose
         // staleness is harmless, and the length probe is the advisory
         // mirror (see `Shard::push_garbage`).
         let due = n >= self.unpin_collect_period.load(Relaxed)
+            || deferred >= BAG_SEAL_THRESHOLD
             || self.shards[local.shard].garbage_len.load(Relaxed) >= QUEUE_COLLECT_THRESHOLD;
-        // ordering: Relaxed — owner-thread-only counter, as above.
+        // ordering: Relaxed (both) — owner-thread-only counters, as above.
         local.garbage_unpins.store(if due { 0 } else { n }, Relaxed);
+        if due {
+            local.deferred_objects.store(0, Relaxed);
+        }
         due
     }
 }
@@ -815,7 +852,7 @@ impl Collector {
         let shards = shards.max(1).next_power_of_two();
         Self {
             inner: Arc::new(Inner {
-                epoch: AtomicU64::new(0),
+                epoch: EpochWord(AtomicU64::new(0)),
                 shards: (0..shards).map(|_| Shard::new()).collect(),
                 next_shard: AtomicUsize::new(0),
                 epochs_advanced: AtomicU64::new(0),

@@ -700,6 +700,58 @@ mod tests {
         }
     }
 
+    /// The throttle's object trigger: an unpin collects once its handle
+    /// has deferred `BAG_SEAL_THRESHOLD` (64) objects since its last
+    /// throttled collect, so a writer whose every unpin ships a 64-object
+    /// recycle batch advances the epoch on every one of them — while
+    /// 1-object defers keep the every-8th-unpin cadence. With nothing else
+    /// pinned every collect advances exactly once, so `epochs_advanced`
+    /// counts the collects.
+    #[test]
+    fn chunk_sized_retirements_collect_on_every_unpin() {
+        struct Sink;
+        impl crate::Recycler for Sink {
+            unsafe fn recycle(&self, mut batch: RecycleBatch) {
+                batch.drain();
+            }
+        }
+        // Never-dereferenced markers: the sink only drains.
+        let marks = [0u8; 64];
+        let sink: Arc<dyn crate::Recycler> = Arc::new(Sink);
+
+        let c = Collector::with_shards(1);
+        let h = c.register();
+        for _ in 0..16 {
+            let g = h.pin();
+            let mut batch = RecycleBatch::new();
+            for m in &marks {
+                batch.push(std::ptr::from_ref(m).cast_mut().cast());
+            }
+            // Safety: the sink never dereferences; each batch is retired
+            // exactly once and reachable by no reader.
+            unsafe { g.defer_recycle(sink.clone(), batch, 0) };
+            drop(g);
+        }
+        assert_eq!(
+            c.stats().epochs_advanced,
+            16,
+            "a chunk-carrying unpin skipped its collect"
+        );
+
+        let c = Collector::with_shards(1);
+        let h = c.register();
+        for _ in 0..64 {
+            let g = h.pin();
+            g.defer(|| {});
+            drop(g);
+        }
+        assert_eq!(
+            c.stats().epochs_advanced,
+            8,
+            "1-object defers left the every-8th cadence"
+        );
+    }
+
     /// With the throttle period forced to 1, every garbage-bearing unpin
     /// collects — the pre-throttle behaviour tests and model scenarios can
     /// opt back into.
