@@ -4,8 +4,8 @@
 //! against a lock-serialized one by running the *same* page-fault/mmap/
 //! munmap workload over both. [`AddressSpace`] is that seam: anything
 //! that can resolve a fault and mutate its mapping set can be driven by
-//! the `rcukit-bench` workload replayer, so the RCU [`RangeMap`] and a
-//! `RwLock<BTreeMap>` baseline are interchangeable behind one trait.
+//! the benchmark's trace replayer (`bench/`), so the RCU [`RangeMap`] and
+//! a `RwLock<BTreeMap>` baseline are interchangeable behind one trait.
 //!
 //! The trait is deliberately guard-free: `fault` takes a bare address and
 //! returns whether a mapped region contains it. The [`RangeMap`]

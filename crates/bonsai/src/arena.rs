@@ -421,7 +421,7 @@ impl<T: Send> Recycler for ArenaShared<T> {
     }
 
     unsafe fn recycle_one(&self, ptr: *mut ()) {
-        // The hazard-pointer scan reclaims per pointer; going straight to
+        // The hybrid scan reclaims per pointer; going straight to
         // the block keeps that path free of the default method's
         // one-element batch allocation.
         let block = ptr as *mut Block<T>;
@@ -758,7 +758,7 @@ mod tests {
         let p = arena.alloc(11);
         let recycler = arena.recycler();
         // Safety: `p` is unreachable and retired exactly once; this test
-        // plays the hazard-pointer scan's per-pointer reclaim role.
+        // plays the hybrid scan's per-pointer reclaim role.
         unsafe { recycler.recycle_one(p as *mut ()) };
         assert_eq!(arena.free_len(), 1, "block not on the shared list");
         let again: Vec<*mut u64> = (0..CHUNK_BLOCKS as u64).map(|i| arena.alloc(i)).collect();

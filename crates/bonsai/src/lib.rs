@@ -16,11 +16,12 @@
 //!   what lets `RangeMap` run several writers at once.
 //!
 //!   Both layers are generic over the *reclamation backend*
-//!   ([`rcukit::ReclaimBackend`]): epoch (the default), QSBR, or hazard
-//!   pointers. Guard-based reads are the epoch read protocol; the
+//!   ([`rcukit::ReclaimBackend`]): epoch (the default, the paper's
+//!   design) or hybrid (interval-based: garbage stays bounded under a
+//!   stalled reader). Guard-based reads are the epoch read protocol; the
 //!   `*_owned` lookups ([`BonsaiTree::get_owned`],
-//!   [`RangeMap::lookup_owned`], `contains`) work on every backend, each
-//!   traversal protected by whatever that backend prescribes.
+//!   [`RangeMap::lookup_owned`], `contains`) work on both, each traversal
+//!   protected by whatever that backend prescribes.
 //! * [`RangeMap`] — a VMA-style interval map over the tree, modeling the
 //!   paper's page-fault workload: `lookup(addr)` finds the mapped region
 //!   containing an address without taking any lock, while mutations take
@@ -38,8 +39,9 @@
 //!
 //! ```
 //! use bonsai::RangeMap;
+//! use rcukit::Collector;
 //!
-//! let vmas: RangeMap<&'static str> = RangeMap::with_default();
+//! let vmas: RangeMap<&'static str> = RangeMap::new(Collector::new());
 //! assert!(vmas.map(0x1000, 0x3000, "text"));
 //! assert!(vmas.map(0x4000, 0x5000, "stack"));
 //! assert!(!vmas.map(0x2000, 0x6000, "overlaps"));
@@ -59,6 +61,20 @@ mod range_lock;
 mod range_map;
 mod sync;
 mod tree;
+
+// Tier-1 checks of the benchmark's own code in `bench/` (a package outside
+// the workspace, here a dev-dependency): its locked baseline, its workload
+// table and its trace generator. Pure safe code with nothing for Miri to
+// find, and at Miri's speed the generator checks would take minutes.
+#[cfg(all(test, not(miri)))]
+#[path = "bench_checks/baseline.rs"]
+mod baseline;
+#[cfg(all(test, not(miri)))]
+#[path = "bench_checks/config.rs"]
+mod config;
+#[cfg(all(test, not(miri)))]
+#[path = "bench_checks/workload.rs"]
+mod workload;
 
 pub use addrspace::AddressSpace;
 pub use range_map::RangeMap;

@@ -101,11 +101,11 @@ where
         Self::with_backend(ReclaimBackend::Epoch(collector))
     }
 
-    /// Creates an empty map reclaiming through any [`ReclaimBackend`]
-    /// (epoch, QSBR, or hazard pointers). The backend decides the
-    /// read-side protocol available: guard-based [`lookup`](Self::lookup)
-    /// requires the epoch backend, while the owned lookups and
-    /// [`contains`](Self::contains) work on every backend.
+    /// Creates an empty map reclaiming through either [`ReclaimBackend`]
+    /// (epoch or hybrid). The backend decides the read-side protocol
+    /// available: guard-based [`lookup`](Self::lookup) requires the epoch
+    /// backend, while the owned lookups and [`contains`](Self::contains)
+    /// work on both.
     pub fn with_backend(backend: ReclaimBackend) -> Self {
         Self::build(backend, None)
     }
@@ -181,11 +181,6 @@ where
                 Self::assemble(tree, self.store.clone(), Some(self.locks.stripe_count()))
             },
         )
-    }
-
-    /// Creates an empty map on the process-wide default collector.
-    pub fn with_default() -> Self {
-        Self::new(rcukit::default_collector().clone())
     }
 
     /// The reclamation backend this map retires through.
@@ -289,8 +284,8 @@ where
         );
     }
 
-    /// Root-CAS commits that lost to a concurrent writer and rebuilt
-    /// (surfaced as the sweep's `cas_retries`; see `BonsaiTree`).
+    /// Root-CAS commits that lost to a concurrent writer and rebuilt (see
+    /// `BonsaiTree`).
     #[doc(hidden)]
     pub fn cas_retries(&self) -> u64 {
         self.tree.cas_retries()
@@ -484,10 +479,11 @@ where
                 let mut affected = 0;
                 if let Some(a) = head {
                     // Copy the fields out *before* the first commit: a
-                    // commit may retire the node behind this reference,
-                    // and the hazard-pointer backend can reclaim retired
-                    // nodes mid-session (no grace period covers writer
-                    // references across mutations).
+                    // commit may ship the node behind this reference, and
+                    // a hybrid scan can free a shipped node while this
+                    // writer's session is still open (the hybrid writer
+                    // holds a gate, not an era reservation, so nothing
+                    // covers its references across mutations).
                     let (old_end, head_value) = {
                         let extent = self
                             .tree
@@ -563,7 +559,7 @@ where
     /// the map, so the map cannot be dropped while it is live.
     ///
     /// Epoch backend only (the guard *is* the epoch read-side protocol);
-    /// on other backends use [`lookup_owned`](Self::lookup_owned).
+    /// on the hybrid backend use [`lookup_owned`](Self::lookup_owned).
     pub fn lookup<'g>(&'g self, addr: u64, guard: &'g Guard<'_>) -> Option<&'g V> {
         let (_, extent) = self.tree.get_le(&addr, guard)?;
         if addr < extent.end {
@@ -575,7 +571,8 @@ where
 
     /// Whether any mapped region contains `addr`. Protects itself for the
     /// duration of the check using whatever read-side protocol the map's
-    /// backend prescribes (pin / online access / hazard traversal) — the
+    /// backend prescribes (an epoch pin, or a hybrid pin and validated
+    /// root) — the
     /// self-contained page-fault probe used by the
     /// [`AddressSpace`](crate::AddressSpace) backend abstraction. Use
     /// [`lookup`](Self::lookup) with an explicit guard when the payload is
@@ -587,9 +584,9 @@ where
     }
 
     /// Clones out the payload of the region containing `addr`. Works on
-    /// every backend (this is the only payload lookup available on the
-    /// QSBR and hazard-pointer backends, whose read protocols cannot hand
-    /// out long-lived references).
+    /// either backend (this is the only payload lookup available on the
+    /// hybrid backend, whose read protocol hands out no guard to borrow
+    /// from).
     pub fn lookup_owned(&self, addr: u64) -> Option<V> {
         self.tree
             .read_map(&addr, Probe::Le, |_, extent| {
@@ -600,7 +597,7 @@ where
 
     /// Like [`lookup`](Self::lookup), also returning the region bounds.
     ///
-    /// Epoch backend only; on other backends use
+    /// Epoch backend only; on the hybrid backend use
     /// [`translate_owned`](Self::translate_owned).
     pub fn translate<'g>(&'g self, addr: u64, guard: &'g Guard<'_>) -> Option<(u64, u64, &'g V)> {
         let (start, extent) = self.tree.get_le(&addr, guard)?;
@@ -612,7 +609,7 @@ where
     }
 
     /// Like [`translate`](Self::translate) but cloning the payload out;
-    /// works on every backend.
+    /// works on either backend.
     pub fn translate_owned(&self, addr: u64) -> Option<(u64, u64, V)> {
         self.tree
             .read_map(&addr, Probe::Le, |start, extent| {
@@ -790,39 +787,37 @@ mod tests {
     /// backend's retired==freed exit invariant.
     #[test]
     fn map_roundtrip_on_every_backend() {
-        use rcukit::{ReclaimBackend, ReclaimKind};
-        for kind in [
-            ReclaimKind::Epoch,
-            ReclaimKind::Qsbr,
-            ReclaimKind::Hp,
-            ReclaimKind::Hybrid,
+        use rcukit::HybridDomain;
+        for backend in [
+            ReclaimBackend::Epoch(Collector::new()),
+            ReclaimBackend::Hybrid(HybridDomain::new()),
         ] {
-            let backend = ReclaimBackend::new(kind);
+            let kind = backend.name();
             let m: RangeMap<u32> = RangeMap::with_backend(backend.clone());
-            assert_eq!(m.backend().kind(), kind);
-            assert!(m.map(0x1000, 0x3000, 1), "{kind:?}");
-            assert!(m.map(0x4000, 0x6000, 2), "{kind:?}");
-            assert!(!m.map(0x2000, 0x5000, 3), "{kind:?} overlap accepted");
-            assert!(m.contains(0x2fff), "{kind:?}");
-            assert!(!m.contains(0x3000), "{kind:?}");
-            assert_eq!(m.lookup_owned(0x1000), Some(1), "{kind:?}");
-            assert_eq!(m.lookup_owned(0x0fff), None, "{kind:?}");
+            assert_eq!(m.backend(), &backend);
+            assert!(m.map(0x1000, 0x3000, 1), "{kind}");
+            assert!(m.map(0x4000, 0x6000, 2), "{kind}");
+            assert!(!m.map(0x2000, 0x5000, 3), "{kind} overlap accepted");
+            assert!(m.contains(0x2fff), "{kind}");
+            assert!(!m.contains(0x3000), "{kind}");
+            assert_eq!(m.lookup_owned(0x1000), Some(1), "{kind}");
+            assert_eq!(m.lookup_owned(0x0fff), None, "{kind}");
             assert_eq!(
                 m.translate_owned(0x5000),
                 Some((0x4000, 0x6000, 2)),
-                "{kind:?}"
+                "{kind}"
             );
-            assert_eq!(m.unmap(0x1000), Some(1), "{kind:?}");
-            assert_eq!(m.unmap(0x1000), None, "{kind:?}");
+            assert_eq!(m.unmap(0x1000), Some(1), "{kind}");
+            assert_eq!(m.unmap(0x1000), None, "{kind}");
             // Straddling span: truncates [0x4000,0x6000) to [0x4000,0x5000).
-            assert_eq!(m.unmap_range(0x5000, 0x7000), 1, "{kind:?}");
-            assert_eq!(m.to_vec(), vec![(0x4000, 0x5000, 2)], "{kind:?}");
+            assert_eq!(m.unmap_range(0x5000, 0x7000), 1, "{kind}");
+            assert_eq!(m.to_vec(), vec![(0x4000, 0x5000, 2)], "{kind}");
             drop(m);
             backend.synchronize();
             let s = backend.stats();
             assert_eq!(
                 s.objects_retired, s.objects_freed,
-                "{kind:?} leaked retired objects"
+                "{kind} leaked retired objects"
             );
         }
     }

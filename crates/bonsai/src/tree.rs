@@ -57,19 +57,11 @@
 //!   [`get_ge`](BonsaiTree::get_ge)) take a pinned [`Guard`] from the
 //!   tree's collector and are lock-free: they only load the root pointer
 //!   and walk immutable nodes. The `*_owned` lookups pin internally.
-//! * **QSBR**: the `*_owned` lookups run on the calling thread's cached
-//!   domain handle, which stays online and announces quiescence only at
-//!   operation boundaries — protection is ambient, so the traversal itself
-//!   costs no atomics at all. Guard-based lookups panic.
-//! * **Hazard pointers**: the `*_owned` lookups run the publish-and-
-//!   validate protocol (see [`BonsaiTree::hp_find`]); writers serialize on
-//!   a per-tree gate so the copy-on-write path needs no hazards of its
-//!   own. Guard-based lookups panic.
 //! * **Hybrid**: the `*_owned` lookups pin an era interval and validate
 //!   the root once (see [`BonsaiTree::hybrid_find`]) — the whole snapshot
 //!   is then covered, so the walk itself is plain loads; writers
-//!   serialize on the same per-tree gate as HP. Guard-based lookups
-//!   panic.
+//!   serialize on a per-tree gate (`hybrid_gate`), so the copy-on-write
+//!   path needs no reservation of its own. Guard-based lookups panic.
 //! * Updates ([`insert`](BonsaiTree::insert),
 //!   [`remove`](BonsaiTree::remove)) serialize on an internal writer mutex,
 //!   mirroring the paper's single-writer address-space lock. The *commit*
@@ -81,9 +73,8 @@
 //!   ABA on the root pointer is impossible because the write session
 //!   protects the load→CAS window per backend: an epoch writer holds a
 //!   pinned guard (the snapshot root cannot be freed, let alone
-//!   reallocated, until it drops), a QSBR writer is online and announces
-//!   no quiescent state mid-update, and HP writers are serialized outright
-//!   by the gate, so the root cannot change at all. See
+//!   reallocated, until it drops), and hybrid writers are serialized
+//!   outright by the gate, so the root cannot change at all. See
 //!   `docs/CONCURRENCY.md` at the repo root for the full protocol
 //!   walkthrough.
 
@@ -93,9 +84,7 @@ use std::ptr;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use rcukit::{
-    Collector, Guard, HpDomain, HybridDomain, QsbrDomain, ReclaimBackend, RecycleBatch, Recycler,
-};
+use rcukit::{Collector, Guard, HybridDomain, ReclaimBackend, RecycleBatch, Recycler};
 
 use crate::arena::{Arena, ChunkStore, CHUNK_BLOCKS};
 use crate::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, AtomicUsize};
@@ -106,16 +95,6 @@ use crate::sync::Mutex;
 const DELTA: usize = 3;
 /// Rotation selector: single vs. double rotation threshold.
 const RATIO: usize = 2;
-
-/// QSBR writer cadence: every Nth committed update announces a quiescent
-/// state and drives one reclaim pass. Writers are the only retirers, so
-/// tying the reclaim pass to their cadence bounds garbage at roughly
-/// N writer batches per thread without a dedicated reclaim thread.
-const QSBR_WRITE_TICK: usize = 8;
-/// QSBR reader cadence: every Nth `*_owned` lookup announces a quiescent
-/// state (readers retire nothing, so they only need to announce often
-/// enough not to stall the writers' grace periods).
-const QSBR_READ_TICK: usize = 64;
 
 /// An immutable tree node. Published nodes are never mutated; readers walk
 /// `left`/`right` as plain loads under a pinned guard. Crate-visible only
@@ -145,8 +124,8 @@ pub(crate) struct Node<K, V> {
     /// code, so freshness is decided from the builder's own scratch.
     rc: AtomicUsize,
     /// Era the node was created in, sampled from the hybrid domain at the
-    /// start of the writer entry that built it (0 under the other
-    /// backends). An under-approximation of the publish era, which is the
+    /// start of the writer entry that built it (0 under the epoch
+    /// backend). An under-approximation of the publish era, which is the
     /// safe direction for the hybrid interval rule — and what lets churn
     /// reclaim past a stalled reader: nodes born after its pinned interval
     /// can never be blocked by it.
@@ -329,7 +308,7 @@ pub(crate) struct WriterScratch<K, V> {
     pub(crate) addrs: Vec<u64>,
     /// Birth era stamped into every node `mk` builds this writer entry —
     /// the hybrid domain's era sampled when the entry began; 0 under the
-    /// other backends (they ignore it).
+    /// epoch backend (it ignores the stamp).
     birth_era: u64,
     /// Whether the tree was still unshared when this writer entry began
     /// (sampled from [`BonsaiTree::shared`] under the writer's lock, which
@@ -556,8 +535,9 @@ impl<K: Send + 'static, V: Send + 'static> WriterScratch<K, V> {
     /// deferred recycle batch — a single retire-tag sample (and its
     /// StoreLoad fence), bag entry and set of shared-counter updates per
     /// chunk instead of per update, zero allocations once the arena's
-    /// batch pool is warm (on the HP backend the batch is split per
-    /// pointer so each node reclaims as soon as no slot protects *it*).
+    /// batch pool is warm (the hybrid backend splits the batch per
+    /// pointer, so each node reclaims as soon as no pinned interval
+    /// overlaps *its* lifetime).
     /// Shipping a node later than its commit only samples a later retire
     /// tag, so its grace period covers every reader the commit-time tag
     /// would have. After the backend's grace condition the arena drops
@@ -623,8 +603,6 @@ impl<K: Send + 'static, V: Send + 'static> WriterScratch<K, V> {
         unsafe {
             match sess {
                 WriteSess::Epoch(guard) => guard.defer_recycle(self.arena.recycler(), batch, bytes),
-                WriteSess::Qsbr(d) => d.defer_recycle(self.arena.recycler(), batch, bytes),
-                WriteSess::Hp(d) => d.defer_recycle(self.arena.recycler(), batch, bytes),
                 WriteSess::Hybrid(d) => {
                     d.defer_recycle_with(self.arena.recycler(), batch, bytes, node_birth::<K, V>)
                 }
@@ -663,24 +641,16 @@ pub(crate) enum Probe {
 /// * `Epoch` — the session pinned a housekeeping-free guard, so the
 ///   snapshot root (and everything reachable from it) cannot be reclaimed,
 ///   which is also the commit CAS's ABA argument.
-/// * `Qsbr` — the calling thread's cached domain handle is online and will
-///   not announce a quiescent state until the session ends, which protects
-///   the snapshot the same way.
-/// * `Hp` — the caller holds the tree's writer gate: no concurrent commit
-///   exists at all, so writer traversals need no hazards and the root CAS
-///   cannot lose. (Readers run their own hazard protocol; the gate is
-///   writer-to-writer only.)
+/// * `Hybrid` — the caller holds the tree's writer gate: no concurrent
+///   commit exists at all, so the root CAS cannot lose, and a gate-held
+///   writer traverses only nodes reachable from the current root, which
+///   its own exclusion keeps unretired — writers need no era reservation
+///   of their own. (Readers run their own pin/protect protocol; the gate
+///   is writer-to-writer only.)
 pub(crate) enum WriteSess<'a> {
     /// Epoch backend: the pinned (quiet) guard.
     Epoch(Guard<'a>),
-    /// QSBR backend: the domain (the thread's TLS handle is online).
-    Qsbr(&'a QsbrDomain),
-    /// HP backend: the domain (the tree's writer gate is held).
-    Hp(&'a HpDomain),
-    /// Hybrid backend: the domain (the tree's writer gate is held — the
-    /// same writer-exclusion argument as HP: a gate-held writer traverses
-    /// only current-root-reachable nodes, which its own exclusion keeps
-    /// alive, so writers need no era reservation of their own).
+    /// Hybrid backend: the domain (the tree's writer gate is held).
     Hybrid(&'a HybridDomain),
 }
 
@@ -689,19 +659,19 @@ impl WriteSess<'_> {
     /// ([`Node`]'s `birth` field): the hybrid domain's current era,
     /// sampled at writer entry — so the stamp can only under-approximate
     /// the node's eventual publish era, the safe direction for the
-    /// interval rule — or 0 ("born before every era") on the backends
-    /// that ignore the field.
+    /// interval rule — or 0 ("born before every era") on the epoch
+    /// backend, which ignores the field.
     fn birth_era(&self) -> u64 {
         match self {
+            WriteSess::Epoch(_) => 0,
             WriteSess::Hybrid(d) => d.current_era(),
-            _ => 0,
         }
     }
 }
 
 /// Runs `f` with a writer lock token held and `tree`'s backend write-side
 /// protection established, in the only safe order for a writer entry
-/// point (stated for the epoch backend; the other arms mirror it):
+/// point (stated for the epoch backend):
 ///
 /// 1. lock first, pin second — a writer queued on a mutex or blocked on a
 ///    range lock must not hold a pin, or its wait would stall epoch advance
@@ -717,12 +687,9 @@ impl WriteSess<'_> {
 /// 4. the skipped pin-time housekeeping runs afterwards, once no lock is
 ///    held and no guard is live.
 ///
-/// On QSBR the "pin" is the thread's cached online handle and the "unpin"
-/// is the quiescence announcement, paced by [`QSBR_WRITE_TICK`] and run
-/// strictly after the lock token drops (mirroring rule 3: `try_reclaim`
-/// executes deferred callbacks). On HP the protection is the per-tree
-/// writer gate, taken **before** `acquire` so the lock order
-/// gate → writer-mutex/stripe-locks is identical on every path.
+/// On the hybrid backend the protection is the per-tree writer gate
+/// ([`BonsaiTree`]'s `hybrid_gate`), taken **before** `acquire` so the
+/// lock order gate → writer-mutex/stripe-locks is identical on every path.
 ///
 /// Every writer entry point — the tree's mutex path
 /// ([`BonsaiTree::insert`]/[`BonsaiTree::remove`]) and `RangeMap`'s
@@ -756,39 +723,13 @@ pub(crate) fn with_write_session<K, V, T, R>(
             collector.housekeep();
             out
         }
-        ReclaimBackend::Qsbr(d) => {
-            let mut token = acquire();
-            let sess = WriteSess::Qsbr(d);
-            // The closure keeps the thread's cached handle alive (and
-            // online) across `f`; the handle announces nothing until the
-            // tick below, so the session's snapshot cannot be reclaimed.
-            let out = d.with_tls_handle(|_| f(&sess, &mut token));
-            drop(token);
-            // Announce + reclaim strictly after the locks drop (rule 3:
-            // `try_reclaim` runs deferred callbacks, which may re-enter a
-            // writer entry point).
-            if d.with_tls_handle(|h| h.tick(QSBR_WRITE_TICK)) {
-                d.try_reclaim();
-            }
-            out
-        }
-        ReclaimBackend::Hp(d) => {
-            // Gate before `acquire`: the one lock order every HP writer
-            // path shares (gate → writer mutex, gate → stripe locks), so
-            // the gate can never deadlock against the caller's locks.
-            let gate = tree.hp_gate.lock().unwrap_or_else(|e| e.into_inner());
-            let mut token = acquire();
-            let sess = WriteSess::Hp(d);
-            let out = f(&sess, &mut token);
-            drop(token);
-            drop(gate);
-            out
-        }
         ReclaimBackend::Hybrid(d) => {
-            // Same shape as HP: the writer gate is the write-side
-            // protection (writers fully serialized; readers run their own
-            // pin/protect protocol against the domain).
-            let gate = tree.hp_gate.lock().unwrap_or_else(|e| e.into_inner());
+            // Gate before `acquire`: the one lock order every hybrid
+            // writer path shares (gate → writer mutex, gate → stripe
+            // locks), so the gate can never deadlock against the caller's
+            // locks. Readers run their own pin/protect protocol against
+            // the domain.
+            let gate = tree.hybrid_gate.lock().unwrap_or_else(|e| e.into_inner());
             let mut token = acquire();
             let sess = WriteSess::Hybrid(d);
             let out = f(&sess, &mut token);
@@ -831,12 +772,11 @@ pub struct BonsaiTree<K, V> {
     writer: Mutex<WriterScratch<K, V>>,
     /// The reclamation backend nodes retire to.
     backend: ReclaimBackend,
-    /// HP/hybrid-backend writer serialization (see [`WriteSess::Hp`] and
-    /// [`WriteSess::Hybrid`]). Uncontended and never touched by the other
-    /// backends; on HP it is also taken by whole-tree traversals
-    /// ([`Self::to_vec`]), where finitely many hazard slots cannot cover
-    /// an unbounded snapshot (hybrid snapshots pin an interval instead).
-    hp_gate: Mutex<()>,
+    /// Hybrid-only writer serialization (see [`WriteSess::Hybrid`]): every
+    /// writer entry on a hybrid tree holds it, so commits never race and
+    /// writers need no era reservation. Never touched on the epoch
+    /// backend, whose writers are protected by their pinned guard.
+    hybrid_gate: Mutex<()>,
     /// Serializes the commit point — each CAS attempt plus, on success,
     /// the reference-count accounting behind it ([`WriterScratch::commit`])
     /// — so accounting runs in version order: version N+1's release
@@ -884,14 +824,14 @@ where
 {
     /// Creates an empty tree whose nodes are reclaimed through `collector`
     /// (the epoch backend; use [`with_backend`](Self::with_backend) for
-    /// QSBR or hazard pointers).
+    /// the hybrid one).
     pub fn new(collector: Collector) -> Self {
         Self::with_backend(ReclaimBackend::Epoch(collector))
     }
 
-    /// Creates an empty tree over any reclamation backend. Guard-based
+    /// Creates an empty tree over either reclamation backend. Guard-based
     /// lookups work only on the epoch backend; the `*_owned` lookups work
-    /// on all three.
+    /// on both.
     pub fn with_backend(backend: ReclaimBackend) -> Self {
         Self::with_scratch(backend, WriterScratch::new())
     }
@@ -907,7 +847,7 @@ where
             root: AtomicPtr::new(ptr::null_mut()),
             writer: Mutex::new(scratch),
             backend,
-            hp_gate: Mutex::new(()),
+            hybrid_gate: Mutex::new(()),
             commit_gate: Mutex::new(()),
             shared: AtomicBool::new(false),
             len: AtomicUsize::new(0),
@@ -915,11 +855,6 @@ where
             cas_wasted: AtomicU64::new(0),
             recycler,
         }
-    }
-
-    /// Creates an empty tree on the process-wide default collector.
-    pub fn with_default() -> Self {
-        Self::new(rcukit::default_collector().clone())
     }
 
     /// Snapshots the tree in O(1): the child starts at the parent's
@@ -975,7 +910,7 @@ where
             root: AtomicPtr::new(root),
             writer: Mutex::new(scratch),
             backend: self.backend.clone(),
-            hp_gate: Mutex::new(()),
+            hybrid_gate: Mutex::new(()),
             commit_gate: Mutex::new(()),
             shared: AtomicBool::new(true),
             // ordering: Acquire — pairs with the commit-path Release; exact
@@ -1008,8 +943,8 @@ where
     ///
     /// # Panics
     ///
-    /// Panics unless the tree uses the epoch backend (QSBR and HP readers
-    /// use the `*_owned` lookups, which protect internally).
+    /// Panics unless the tree uses the epoch backend (hybrid readers use
+    /// the `*_owned` lookups, which protect internally).
     pub fn pin(&self) -> Guard<'_> {
         self.collector().pin()
     }
@@ -1044,8 +979,7 @@ where
     }
 
     /// Root-CAS commits that lost to a concurrent writer and had to
-    /// rebuild (see the sweep's `cas_retries` field). Telemetry; counted
-    /// only on the failure path.
+    /// rebuild. Telemetry; counted only on the failure path.
     #[doc(hidden)]
     pub fn cas_retries(&self) -> u64 {
         // ordering: Relaxed — telemetry snapshot.
@@ -1116,14 +1050,6 @@ where
                 *guard.collector() == *c,
                 "guard is pinned against a different collector than this tree"
             ),
-            (WriteSess::Qsbr(d), ReclaimBackend::Qsbr(q)) => assert!(
-                **d == *q,
-                "session belongs to a different QSBR domain than this tree"
-            ),
-            (WriteSess::Hp(d), ReclaimBackend::Hp(h)) => assert!(
-                **d == *h,
-                "session belongs to a different HP domain than this tree"
-            ),
             (WriteSess::Hybrid(d), ReclaimBackend::Hybrid(h)) => assert!(
                 **d == *h,
                 "session belongs to a different hybrid domain than this tree"
@@ -1138,10 +1064,9 @@ where
     /// # Safety
     ///
     /// The caller must guarantee every node reachable from the current
-    /// root stays live across the call: a pinned epoch guard, an
-    /// online-and-silent QSBR handle, a checked [`WriteSess`], or
-    /// exclusive access. (The HP read side cannot use this walk — it must
-    /// interleave per-node protection — see [`Self::hp_find`].)
+    /// root stays live across the call: a pinned epoch guard, a checked
+    /// [`WriteSess`], or exclusive access. (The hybrid read side validates
+    /// its root load first and walks with [`Self::walk_from`].)
     unsafe fn find(&self, key: &K, probe: Probe) -> *mut Node<K, V> {
         // ordering: Acquire — pairs with the commit CAS's Release: the
         // fully built path behind a published root is visible before the
@@ -1197,116 +1122,10 @@ where
         best
     }
 
-    /// Hazard-protected search: the publish-and-validate read protocol.
-    ///
-    /// Slot discipline: slot 0 pins the snapshot root for the whole
-    /// traversal, slots 1/2 alternate hand-over-hand down the path, and
-    /// slot 3 holds the current best `Le`/`Ge` candidate.
-    ///
-    /// Validation is by **root re-read**, not by re-reading the parent
-    /// link (the textbook HP validation): published nodes are immutable,
-    /// so a parent-link re-read can never fail — even after the child was
-    /// retired by a newer commit. The root, though, changes on every
-    /// commit, and while slot 0 protects the snapshot root its address can
-    /// be neither freed nor recycled — so observing the root unchanged
-    /// after a protect proves no commit has happened since the snapshot,
-    /// hence everything reachable from it (the just-protected node
-    /// included) is still unretired. Any root change restarts from
-    /// scratch, discarding the candidate.
-    ///
-    /// Forked lineages do not weaken the argument: every node reachable
-    /// from *this* tree's current root has a positive refcount chain down
-    /// from that root, so another lineage's commits can never retire it —
-    /// a node this tree reaches leaves the graph only through a commit on
-    /// this tree, which changes this root, which is exactly what the
-    /// re-read detects.
-    fn hp_find<R>(
-        &self,
-        d: &HpDomain,
-        key: &K,
-        probe: Probe,
-        f: impl FnOnce(&K, &V) -> R,
-    ) -> Option<R> {
-        let session = d.session();
-        'restart: loop {
-            // ordering: Acquire — publication pairing; see `find`.
-            let root = self.root.load(Ordering::Acquire);
-            if root.is_null() {
-                return None;
-            }
-            session.protect(0, root.cast());
-            // ordering: Acquire — post-protect validation (see the method
-            // docs): unchanged root ⇒ the protect beat every retire of
-            // nodes it covers.
-            if self.root.load(Ordering::Acquire) != root {
-                continue 'restart;
-            }
-            let mut cur = root;
-            let mut cur_slot = 0usize;
-            let mut best: *mut Node<K, V> = ptr::null_mut();
-            let found = loop {
-                // Safety: `cur` is protected in slot `cur_slot` and was
-                // validated reachable from the still-current root, so it is
-                // live; published nodes are immutable.
-                let node = unsafe { &*cur };
-                let (next, record) = match probe {
-                    Probe::Eq => match key.cmp(&node.key) {
-                        Cmp::Equal => break cur,
-                        Cmp::Less => (node.left, false),
-                        Cmp::Greater => (node.right, false),
-                    },
-                    Probe::Le => {
-                        if *key < node.key {
-                            (node.left, false)
-                        } else {
-                            (node.right, true)
-                        }
-                    }
-                    Probe::Ge => {
-                        if *key > node.key {
-                            (node.right, false)
-                        } else {
-                            (node.left, true)
-                        }
-                    }
-                };
-                if record {
-                    // Transfer `cur` into the candidate slot. No
-                    // re-validation needed: the pointer never goes
-                    // uncovered — slot `cur_slot` still holds it, and is
-                    // first overwritten by the hand-over-hand protect
-                    // below, after this store's fence completes.
-                    session.protect(3, cur.cast());
-                    best = cur;
-                }
-                if next.is_null() {
-                    break best;
-                }
-                let next_slot = if cur_slot == 1 { 2 } else { 1 };
-                session.protect(next_slot, next.cast());
-                // ordering: Acquire — post-protect validation, as at the
-                // root protect above.
-                if self.root.load(Ordering::Acquire) != root {
-                    continue 'restart;
-                }
-                cur = next;
-                cur_slot = next_slot;
-            };
-            if found.is_null() {
-                return None;
-            }
-            // Safety: `found`'s slot was never overwritten afterwards (an
-            // `Eq` hit breaks immediately; candidates live in slot 3), so
-            // it is still protected and live here.
-            let node = unsafe { &*found };
-            return Some(f(&node.key, &node.value));
-        }
-    }
-
     /// Interval-protected search: the hybrid (IBR) read protocol.
     ///
-    /// One protected load suffices for the whole walk — unlike HP, which
-    /// must re-validate hand-over-hand. `protect` returns a root pointer
+    /// One protected load suffices for the whole walk — no per-node
+    /// protect-and-validate step. `protect` returns a root pointer
     /// validated against the guard's reservation `[lo, hi]`:
     ///
     /// - every node reachable from that root carries a birth era ≤ the
@@ -1368,20 +1187,6 @@ where
                     f(&node.key, &node.value)
                 })
             }
-            ReclaimBackend::Qsbr(d) => d.with_tls_handle(|h| {
-                // Safety: the cached handle is online and announces
-                // quiescence only at the tick below, after the last
-                // dereference — ambient protection for the whole walk.
-                let n = unsafe { self.find(key, probe) };
-                let out = (!n.is_null()).then(|| {
-                    // Safety: `n` stays live until this thread announces.
-                    let node = unsafe { &*n };
-                    f(&node.key, &node.value)
-                });
-                h.tick(QSBR_READ_TICK);
-                out
-            }),
-            ReclaimBackend::Hp(d) => self.hp_find(d, key, probe, f),
             ReclaimBackend::Hybrid(d) => self.hybrid_find(d, key, probe, f),
         }
     }
@@ -1415,7 +1220,7 @@ where
         (!n.is_null()).then(|| unsafe { &(*n).value })
     }
 
-    /// Whether `key` is present. Protects internally; works on every
+    /// Whether `key` is present. Protects internally; works on either
     /// backend.
     pub fn contains_key(&self, key: &K) -> bool {
         self.read_map(key, Probe::Eq, |_, _| ()).is_some()
@@ -1423,7 +1228,7 @@ where
 
     /// Finds the greatest entry with key `<= key` (predecessor query, the
     /// primitive behind VMA lookup). Borrows as in [`get`](Self::get);
-    /// panics on non-epoch backends like [`get`](Self::get).
+    /// panics on the hybrid backend like [`get`](Self::get).
     pub fn get_le<'g>(&'g self, key: &K, guard: &'g Guard<'_>) -> Option<(&'g K, &'g V)> {
         self.check_guard(guard);
         // Safety: the checked guard pins this tree's collector.
@@ -1433,7 +1238,7 @@ where
     }
 
     /// Finds the least entry with key `>= key` (successor query). Borrows
-    /// as in [`get`](Self::get); panics on non-epoch backends like
+    /// as in [`get`](Self::get); panics on the hybrid backend like
     /// [`get`](Self::get).
     pub fn get_ge<'g>(&'g self, key: &K, guard: &'g Guard<'_>) -> Option<(&'g K, &'g V)> {
         self.check_guard(guard);
@@ -1443,19 +1248,18 @@ where
         (!n.is_null()).then(|| unsafe { (&(*n).key, &(*n).value) })
     }
 
-    /// [`get`](Self::get) on any backend, returning a clone. Protection is
-    /// internal: an epoch pin, the thread's QSBR handle, or the HP
-    /// publish-and-validate protocol.
+    /// [`get`](Self::get) on either backend, returning a clone. Protection
+    /// is internal: an epoch pin, or a hybrid pin with a validated root.
     pub fn get_owned(&self, key: &K) -> Option<V> {
         self.read_map(key, Probe::Eq, |_, v| v.clone())
     }
 
-    /// [`get_le`](Self::get_le) on any backend, returning clones.
+    /// [`get_le`](Self::get_le) on either backend, returning clones.
     pub fn get_le_owned(&self, key: &K) -> Option<(K, V)> {
         self.read_map(key, Probe::Le, |k, v| (k.clone(), v.clone()))
     }
 
-    /// [`get_ge`](Self::get_ge) on any backend, returning clones.
+    /// [`get_ge`](Self::get_ge) on either backend, returning clones.
     pub fn get_ge_owned(&self, key: &K) -> Option<(K, V)> {
         self.read_map(key, Probe::Ge, |k, v| (k.clone(), v.clone()))
     }
@@ -1466,8 +1270,8 @@ where
     /// the session and the tree borrow.
     pub(crate) fn get_in<'t>(&'t self, key: &K, sess: &WriteSess<'_>) -> Option<&'t V> {
         self.check_sess(sess);
-        // Safety: a checked session protects the traversal on every
-        // backend (pin / online handle / writer gate — see `WriteSess`).
+        // Safety: a checked session protects the traversal on either
+        // backend (pin / writer gate — see `WriteSess`).
         let n = unsafe { self.find(key, Probe::Eq) };
         // Safety: `n` stays live for the session.
         (!n.is_null()).then(|| unsafe { &(*n).value })
@@ -1568,10 +1372,10 @@ where
     ///
     /// `sess` must have been opened against this tree's backend (checked)
     /// and *before* this call — which is what makes the load→CAS window
-    /// ABA-free: under epoch/QSBR the snapshot root cannot be reclaimed
-    /// while the session's protection holds, so a re-observed equal
-    /// pointer really is the unchanged root; under HP the session holds
-    /// the writer gate, so the root cannot change at all.
+    /// ABA-free: under epoch the snapshot root cannot be reclaimed while
+    /// the session's pin holds, so a re-observed equal pointer really is
+    /// the unchanged root; under hybrid the session holds the writer
+    /// gate, so the root cannot change at all.
     #[allow(clippy::type_complexity)]
     fn publish<R>(
         &self,
@@ -1673,10 +1477,7 @@ where
 
     /// Runs `f` on a root snapshot that the backend's protection keeps
     /// live for the duration of the call — the whole-tree-traversal
-    /// analogue of [`read_map`](Self::read_map). On HP the snapshot cannot
-    /// be covered by finitely many hazard slots, so writers are excluded
-    /// via the gate instead (concurrent *scans* are still fine: they free
-    /// only retired nodes, which are unreachable from the held root).
+    /// analogue of [`read_map`](Self::read_map).
     fn with_snapshot<R>(&self, f: impl FnOnce(*mut Node<K, V>) -> R) -> R {
         match &self.backend {
             ReclaimBackend::Epoch(c) => {
@@ -1684,32 +1485,18 @@ where
                 // ordering: Acquire — publication pairing; see `find`.
                 f(self.root.load(Ordering::Acquire))
             }
-            ReclaimBackend::Qsbr(d) => d.with_tls_handle(|h| {
-                // ordering: Acquire — publication pairing; see `find`.
-                let out = f(self.root.load(Ordering::Acquire));
-                // Announce after the traversal: a whole-tree walk is long,
-                // so do not wait for the read-tick cadence.
-                h.quiescent();
-                out
-            }),
-            ReclaimBackend::Hp(_) => {
-                let _gate = self.hp_gate.lock().unwrap_or_else(|e| e.into_inner());
-                // ordering: Acquire — publication pairing; see `find`.
-                f(self.root.load(Ordering::Acquire))
-            }
             ReclaimBackend::Hybrid(d) => {
                 let guard = d.pin();
                 // ordering: Acquire — publication pairing; see `find`. The
                 // validated snapshot's whole subtree is covered by the
-                // guard's interval (see `hybrid_find`), however large — the
-                // advantage over finite hazard slots.
+                // guard's interval (see `hybrid_find`), however large.
                 f(guard.protect(|| self.root.load(Ordering::Acquire)))
             }
         }
     }
 
     /// Clones the tree contents in key order. Intended for tests and
-    /// debugging; protects internally (works on every backend).
+    /// debugging; protects internally (works on either backend).
     pub fn to_vec(&self) -> Vec<(K, V)> {
         let mut out = Vec::with_capacity(self.len());
         self.with_snapshot(|root| {
@@ -2182,8 +1969,6 @@ impl<K, V> Drop for BonsaiTree<K, V> {
                     let guard = c.pin_quiet();
                     guard.defer_recycle(recycler, batch, bytes);
                 }
-                ReclaimBackend::Qsbr(d) => d.defer_recycle(recycler, batch, bytes),
-                ReclaimBackend::Hp(d) => d.defer_recycle(recycler, batch, bytes),
                 ReclaimBackend::Hybrid(d) => {
                     // Batched nodes are still-valid blocks whose grace
                     // period starts here, so their birth stamps are
@@ -2350,31 +2135,25 @@ mod tests {
     /// the run with everything it retired reclaimed.
     #[test]
     fn matches_btreemap_on_every_backend() {
-        use rcukit::ReclaimKind;
-        for kind in [
-            ReclaimKind::Epoch,
-            ReclaimKind::Qsbr,
-            ReclaimKind::Hp,
-            ReclaimKind::Hybrid,
-        ] {
-            let backend = ReclaimBackend::new(kind);
+        let backends = [
+            ReclaimBackend::Epoch(Collector::new()),
+            ReclaimBackend::Hybrid(HybridDomain::new()),
+        ];
+        for (seed, backend) in backends.into_iter().enumerate() {
+            let kind = backend.name();
             let t: BonsaiTree<u64, u64> = BonsaiTree::with_backend(backend.clone());
             let mut model = BTreeMap::new();
-            let mut rng = Rng(0xC0FFEE ^ kind as u64);
+            let mut rng = Rng(0xC0FFEE ^ seed as u64);
             const OPS: u64 = if cfg!(miri) { 200 } else { 3000 };
             for i in 0..OPS {
                 let k = rng.next() % 256;
                 if rng.next().is_multiple_of(3) {
-                    assert_eq!(
-                        t.remove(&k),
-                        model.remove(&k),
-                        "{kind:?} op {i}: remove {k}"
-                    );
+                    assert_eq!(t.remove(&k), model.remove(&k), "{kind} op {i}: remove {k}");
                 } else {
                     assert_eq!(
                         t.insert(k, i),
                         model.insert(k, i),
-                        "{kind:?} op {i}: insert {k}"
+                        "{kind} op {i}: insert {k}"
                     );
                 }
                 if i % 512 == 0 {
@@ -2383,61 +2162,59 @@ mod tests {
                     assert_eq!(
                         t.get_owned(&probe),
                         model.get(&probe).copied(),
-                        "{kind:?} op {i}: get {probe}"
+                        "{kind} op {i}: get {probe}"
                     );
                     assert_eq!(
                         t.get_le_owned(&probe),
                         model.range(..=probe).next_back().map(|(&k, &v)| (k, v)),
-                        "{kind:?} op {i}: get_le {probe}"
+                        "{kind} op {i}: get_le {probe}"
                     );
                     assert_eq!(
                         t.get_ge_owned(&probe),
                         model.range(probe..).next().map(|(&k, &v)| (k, v)),
-                        "{kind:?} op {i}: get_ge {probe}"
+                        "{kind} op {i}: get_ge {probe}"
                     );
                 }
             }
             t.check_invariants();
             let got = t.to_vec();
             let want: Vec<(u64, u64)> = model.into_iter().collect();
-            assert_eq!(got, want, "{kind:?} final state diverged");
+            assert_eq!(got, want, "{kind} final state diverged");
             drop(t);
             backend.synchronize();
             let s = backend.stats();
             assert_eq!(
                 s.objects_retired, s.objects_freed,
-                "{kind:?} leaked retired objects"
+                "{kind} leaked retired objects"
             );
-            assert!(s.objects_retired > 0, "{kind:?} retired nothing");
-            assert_eq!(s.bytes_retired, s.bytes_freed, "{kind:?} leaked bytes");
+            assert!(s.objects_retired > 0, "{kind} retired nothing");
+            assert_eq!(s.bytes_retired, s.bytes_freed, "{kind} leaked bytes");
             assert!(
                 s.peak_unreclaimed_bytes > 0,
-                "{kind:?} never measured outstanding garbage"
+                "{kind} never measured outstanding garbage"
             );
         }
     }
 
-    /// Guard-based reads are the epoch protocol; the other backends must
+    /// Guard-based reads are the epoch protocol; the hybrid backend must
     /// reject them loudly instead of handing out unprotected references.
     #[test]
     fn guard_reads_panic_on_non_epoch_backends() {
-        use rcukit::ReclaimKind;
         use std::panic::{catch_unwind, AssertUnwindSafe};
-        for kind in [ReclaimKind::Qsbr, ReclaimKind::Hp, ReclaimKind::Hybrid] {
-            let t: BonsaiTree<u64, u64> = BonsaiTree::with_backend(ReclaimBackend::new(kind));
-            t.insert(1, 10);
-            assert!(
-                catch_unwind(AssertUnwindSafe(|| t.pin())).is_err(),
-                "{kind:?}: pin() must panic"
-            );
-            assert!(
-                catch_unwind(AssertUnwindSafe(|| t.collector())).is_err(),
-                "{kind:?}: collector() must panic"
-            );
-            // The owned reads are the supported protocol there.
-            assert_eq!(t.get_owned(&1), Some(10));
-            assert!(t.contains_key(&1));
-        }
+        let t: BonsaiTree<u64, u64> =
+            BonsaiTree::with_backend(ReclaimBackend::Hybrid(HybridDomain::new()));
+        t.insert(1, 10);
+        assert!(
+            catch_unwind(AssertUnwindSafe(|| t.pin())).is_err(),
+            "pin() must panic"
+        );
+        assert!(
+            catch_unwind(AssertUnwindSafe(|| t.collector())).is_err(),
+            "collector() must panic"
+        );
+        // The owned reads are the supported protocol there.
+        assert_eq!(t.get_owned(&1), Some(10));
+        assert!(t.contains_key(&1));
     }
 
     #[test]

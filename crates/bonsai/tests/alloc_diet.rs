@@ -313,11 +313,14 @@ fn fork_allocates_o_depth_not_o_n() {
 #[cfg_attr(miri, ignore)]
 #[test]
 fn range_map_fork_allocates_o_stripes_not_o_regions() {
-    let big: RangeMap<u64> = RangeMap::with_default();
+    // One collector for both maps, so neither fork is the first pin of a
+    // collector this thread has not cached yet.
+    let collector = Collector::new();
+    let big: RangeMap<u64> = RangeMap::new(collector.clone());
     for slot in 0..100_000u64 {
         assert!(big.map(slot * 2 * PAGE, slot * 2 * PAGE + PAGE, slot));
     }
-    let small: RangeMap<u64> = RangeMap::with_default();
+    let small: RangeMap<u64> = RangeMap::new(collector);
     for slot in 0..100u64 {
         assert!(small.map(slot * 2 * PAGE, slot * 2 * PAGE + PAGE, slot));
     }

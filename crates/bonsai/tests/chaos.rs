@@ -16,7 +16,7 @@
 //! * a panicked `unmap_range` never lost coverage of bytes outside the
 //!   requested span, and retrying the call converges to the full unmap;
 //! * after teardown the backend drains to `retired == freed`, objects
-//!   and bytes — no leak, no double free, on all four backends.
+//!   and bytes — no leak, no double free, on both backends.
 //!
 //! Every leg prints `FAULT_REPLAY=<token>` if its assertions fail, and
 //! the token replays the exact fault schedule via `faults::arm_token`
@@ -29,14 +29,15 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard, Once};
 
 use bonsai::{BonsaiTree, RangeMap};
-use rcukit::{faults, HybridDomain, ReclaimBackend, ReclaimKind};
+use rcukit::{faults, Collector, HybridDomain, ReclaimBackend};
 
-const ALL_KINDS: [ReclaimKind; 4] = [
-    ReclaimKind::Epoch,
-    ReclaimKind::Qsbr,
-    ReclaimKind::Hp,
-    ReclaimKind::Hybrid,
-];
+/// Both reclamation backends, fresh.
+fn backends() -> [ReclaimBackend; 2] {
+    [
+        ReclaimBackend::Epoch(Collector::new()),
+        ReclaimBackend::Hybrid(HybridDomain::new()),
+    ]
+}
 
 /// Small deterministic RNG (xorshift64*), as in `fork_diff`.
 struct Rng(u64);
@@ -97,12 +98,12 @@ fn model_vec(model: &BTreeMap<u64, u64>) -> Vec<(u64, u64)> {
     model.iter().map(|(&k, &v)| (k, v)).collect()
 }
 
-/// One fork/mutate lineage chaos run on `kind`, `steps` ops at
+/// One fork/mutate lineage chaos run on `backend`, `steps` ops at
 /// `per_mille`/1000 fault probability per probe.
-fn run_tree_chaos(kind: ReclaimKind, seed: u64, steps: u64, per_mille: u32) {
+fn run_tree_chaos(backend: ReclaimBackend, seed: u64, steps: u64, per_mille: u32) {
     let _replay = ReplayOnFailure;
     faults::arm(seed, per_mille);
-    let backend = ReclaimBackend::new(kind);
+    let kind = backend.name();
     let mut rng = Rng(seed | 1);
     let mut injected = 0u64;
 
@@ -120,7 +121,7 @@ fn run_tree_chaos(kind: ReclaimKind, seed: u64, steps: u64, per_mille: u32) {
             assert_eq!(
                 child_tree.to_vec(),
                 model_vec(&child_model),
-                "{kind:?}: fork diverged"
+                "{kind}: fork diverged"
             );
             lineages.push((child_tree, child_model));
             continue;
@@ -149,7 +150,7 @@ fn run_tree_chaos(kind: ReclaimKind, seed: u64, steps: u64, per_mille: u32) {
                 };
                 assert_eq!(
                     old, expect,
-                    "{kind:?} step {step}: clean op diverged from model"
+                    "{kind} step {step}: clean op diverged from model"
                 );
             }
             Err(_) => {
@@ -170,7 +171,7 @@ fn run_tree_chaos(kind: ReclaimKind, seed: u64, steps: u64, per_mille: u32) {
                     assert_eq!(
                         contents,
                         model_vec(model),
-                        "{kind:?} step {step}: injected panic left a torn tree"
+                        "{kind} step {step}: injected panic left a torn tree"
                     );
                 }
             }
@@ -181,21 +182,21 @@ fn run_tree_chaos(kind: ReclaimKind, seed: u64, steps: u64, per_mille: u32) {
         assert_eq!(
             tree.get_owned(&probe),
             model.get(&probe).copied(),
-            "{kind:?} step {step}"
+            "{kind} step {step}"
         );
         if step % 128 == 0 {
             for (tree, model) in &lineages {
                 assert_eq!(
                     tree.to_vec(),
                     model_vec(model),
-                    "{kind:?} step {step}: full diff"
+                    "{kind} step {step}: full diff"
                 );
             }
         }
     }
     assert!(
         injected > 0,
-        "{kind:?}: chaos run injected no faults — probe wiring broken?"
+        "{kind}: chaos run injected no faults — probe wiring broken?"
     );
     faults::disarm();
 
@@ -210,14 +211,14 @@ fn run_tree_chaos(kind: ReclaimKind, seed: u64, steps: u64, per_mille: u32) {
     drop(lineages);
     backend.synchronize();
     let s = backend.stats();
-    assert!(s.objects_retired > 0, "{kind:?}: nothing retired");
+    assert!(s.objects_retired > 0, "{kind}: nothing retired");
     assert_eq!(
         s.objects_retired, s.objects_freed,
-        "{kind:?}: injected faults leaked or double-retired objects"
+        "{kind}: injected faults leaked or double-retired objects"
     );
     assert_eq!(
         s.bytes_retired, s.bytes_freed,
-        "{kind:?}: byte accounting diverged"
+        "{kind}: byte accounting diverged"
     );
 }
 
@@ -226,8 +227,8 @@ fn tree_chaos_is_panic_atomic_on_every_backend() {
     let _s = serial();
     silence_injected_panics();
     let steps = if cfg!(miri) { 150 } else { 1500 };
-    for kind in ALL_KINDS {
-        run_tree_chaos(kind, 0xc4a0_0001 ^ kind as u64, steps, 35);
+    for (salt, backend) in backends().into_iter().enumerate() {
+        run_tree_chaos(backend, 0xc4a0_0001 ^ salt as u64, steps, 35);
     }
 }
 
@@ -297,10 +298,10 @@ fn outside_coverage(contents: &[(u64, u64, u64)], start: u64, end: u64) -> BTree
     out
 }
 
-fn run_map_chaos(kind: ReclaimKind, seed: u64, steps: u64, per_mille: u32) {
+fn run_map_chaos(backend: ReclaimBackend, seed: u64, steps: u64, per_mille: u32) {
     let _replay = ReplayOnFailure;
     faults::arm(seed, per_mille);
-    let backend = ReclaimBackend::new(kind);
+    let kind = backend.name();
     let mut rng = Rng(seed | 1);
     let mut injected = 0u64;
 
@@ -316,7 +317,7 @@ fn run_map_chaos(kind: ReclaimKind, seed: u64, steps: u64, per_mille: u32) {
             assert_eq!(
                 child.to_vec(),
                 map_model_vec(&model),
-                "{kind:?}: fork diverged"
+                "{kind}: fork diverged"
             );
             lineages.push((child, model));
             continue;
@@ -335,7 +336,7 @@ fn run_map_chaos(kind: ReclaimKind, seed: u64, steps: u64, per_mille: u32) {
                 let expect = !model_overlaps(model, start, end);
                 match catch_unwind(AssertUnwindSafe(|| map.map(start, end, val))) {
                     Ok(mapped) => {
-                        assert_eq!(mapped, expect, "{kind:?} step {step}: map() diverged");
+                        assert_eq!(mapped, expect, "{kind} step {step}: map() diverged");
                         if mapped {
                             model.insert(start, (end, val));
                         }
@@ -354,7 +355,7 @@ fn run_map_chaos(kind: ReclaimKind, seed: u64, steps: u64, per_mille: u32) {
                             assert_eq!(
                                 contents,
                                 map_model_vec(model),
-                                "{kind:?} step {step}: injected panic tore map()"
+                                "{kind} step {step}: injected panic tore map()"
                             );
                         }
                     }
@@ -367,7 +368,7 @@ fn run_map_chaos(kind: ReclaimKind, seed: u64, steps: u64, per_mille: u32) {
                         assert_eq!(
                             got,
                             model.remove(&start).map(|(_, v)| v),
-                            "{kind:?} step {step}: unmap() diverged"
+                            "{kind} step {step}: unmap() diverged"
                         );
                     }
                     Err(_) => {
@@ -381,7 +382,7 @@ fn run_map_chaos(kind: ReclaimKind, seed: u64, steps: u64, per_mille: u32) {
                             assert_eq!(
                                 contents,
                                 map_model_vec(model),
-                                "{kind:?} step {step}: injected panic tore unmap()"
+                                "{kind} step {step}: injected panic tore unmap()"
                             );
                         }
                     }
@@ -395,10 +396,7 @@ fn run_map_chaos(kind: ReclaimKind, seed: u64, steps: u64, per_mille: u32) {
                 match catch_unwind(AssertUnwindSafe(|| map.unmap_range(start, end))) {
                     Ok(n) => {
                         let expect = model_unmap_range(model, start, end);
-                        assert_eq!(
-                            n, expect,
-                            "{kind:?} step {step}: unmap_range count diverged"
-                        );
+                        assert_eq!(n, expect, "{kind} step {step}: unmap_range count diverged");
                     }
                     Err(_) => {
                         injected += 1;
@@ -407,7 +405,7 @@ fn run_map_chaos(kind: ReclaimKind, seed: u64, steps: u64, per_mille: u32) {
                         assert_eq!(
                             now,
                             outside,
-                            "{kind:?} step {step}: panicked unmap_range({start:#x}, {end:#x}) \
+                            "{kind} step {step}: panicked unmap_range({start:#x}, {end:#x}) \
                              disturbed coverage outside the span; map={:?} model={:?}",
                             map.to_vec(),
                             map_model_vec(model),
@@ -427,13 +425,13 @@ fn run_map_chaos(kind: ReclaimKind, seed: u64, steps: u64, per_mille: u32) {
                         }
                         assert!(
                             done,
-                            "{kind:?} step {step}: unmap_range retry never converged"
+                            "{kind} step {step}: unmap_range retry never converged"
                         );
                         model_unmap_range(model, start, end);
                         assert_eq!(
                             map.to_vec(),
                             map_model_vec(model),
-                            "{kind:?} step {step}: unmap_range retry did not converge to the model"
+                            "{kind} step {step}: unmap_range retry did not converge to the model"
                         );
                     }
                 }
@@ -444,11 +442,7 @@ fn run_map_chaos(kind: ReclaimKind, seed: u64, steps: u64, per_mille: u32) {
                     .range(..=addr)
                     .next_back()
                     .and_then(|(_, &(end, v))| (addr < end).then_some(v));
-                assert_eq!(
-                    map.lookup_owned(addr),
-                    expect,
-                    "{kind:?} step {step}: lookup"
-                );
+                assert_eq!(map.lookup_owned(addr), expect, "{kind} step {step}: lookup");
             }
         }
         // No panicked writer may leak its span: the lock table must be
@@ -457,7 +451,7 @@ fn run_map_chaos(kind: ReclaimKind, seed: u64, steps: u64, per_mille: u32) {
             assert_eq!(
                 map.held_range_locks(),
                 0,
-                "{kind:?} step {step}: leaked range lock"
+                "{kind} step {step}: leaked range lock"
             );
         }
         if step % 128 == 0 {
@@ -465,14 +459,14 @@ fn run_map_chaos(kind: ReclaimKind, seed: u64, steps: u64, per_mille: u32) {
                 assert_eq!(
                     map.to_vec(),
                     map_model_vec(model),
-                    "{kind:?} step {step}: full diff"
+                    "{kind} step {step}: full diff"
                 );
             }
         }
     }
     assert!(
         injected > 0,
-        "{kind:?}: chaos run injected no faults — probe wiring broken?"
+        "{kind}: chaos run injected no faults — probe wiring broken?"
     );
     faults::disarm();
 
@@ -487,14 +481,14 @@ fn run_map_chaos(kind: ReclaimKind, seed: u64, steps: u64, per_mille: u32) {
     drop(lineages);
     backend.synchronize();
     let s = backend.stats();
-    assert!(s.objects_retired > 0, "{kind:?}: nothing retired");
+    assert!(s.objects_retired > 0, "{kind}: nothing retired");
     assert_eq!(
         s.objects_retired, s.objects_freed,
-        "{kind:?}: injected faults leaked or double-retired objects"
+        "{kind}: injected faults leaked or double-retired objects"
     );
     assert_eq!(
         s.bytes_retired, s.bytes_freed,
-        "{kind:?}: byte accounting diverged"
+        "{kind}: byte accounting diverged"
     );
 }
 
@@ -503,8 +497,8 @@ fn range_map_chaos_is_panic_atomic_on_every_backend() {
     let _s = serial();
     silence_injected_panics();
     let steps = if cfg!(miri) { 120 } else { 1200 };
-    for kind in ALL_KINDS {
-        run_map_chaos(kind, 0xc4a0_0002 ^ kind as u64, steps, 30);
+    for (salt, backend) in backends().into_iter().enumerate() {
+        run_map_chaos(backend, 0xc4a0_0002 ^ salt as u64, steps, 30);
     }
 }
 
@@ -693,36 +687,33 @@ fn faults_with_a_partial_batch_pending_lose_and_repeat_nothing() {
             "the faults fired with nothing pending"
         );
     };
-    let drained_alike = |kind: ReclaimKind, faulted: &ReclaimBackend, twin: &ReclaimBackend| {
+    let drained_alike = |faulted: &ReclaimBackend, twin: &ReclaimBackend| {
+        let kind = faulted.name();
         faulted.synchronize();
         twin.synchronize();
         let (f, t) = (faulted.stats(), twin.stats());
-        assert!(f.objects_retired > 0, "{kind:?}: nothing retired");
+        assert!(f.objects_retired > 0, "{kind}: nothing retired");
         assert_eq!(
             (f.objects_retired, f.bytes_retired),
             (t.objects_retired, t.bytes_retired),
-            "{kind:?}: pending nodes lost or retired twice"
+            "{kind}: pending nodes lost or retired twice"
         );
         assert_eq!(
             (f.objects_retired, f.bytes_retired),
             (f.objects_freed, f.bytes_freed),
-            "{kind:?}: faulted backend did not drain"
+            "{kind}: faulted backend did not drain"
         );
     };
 
-    for kind in ALL_KINDS {
-        let (faulted, twin) = (ReclaimBackend::new(kind), ReclaimBackend::new(kind));
+    for (faulted, twin) in backends().into_iter().zip(backends()) {
+        let kind = faulted.name();
         let tree: BonsaiTree<u64, u64> = BonsaiTree::with_backend(faulted.clone());
         let same: BonsaiTree<u64, u64> = BonsaiTree::with_backend(twin.clone());
         for k in 0..8 {
             tree.insert(k, k);
             same.insert(k, k);
         }
-        assert_eq!(
-            faulted.stats().objects_retired,
-            0,
-            "{kind:?}: batch shipped"
-        );
+        assert_eq!(faulted.stats().objects_retired, 0, "{kind}: batch shipped");
         fault_both(
             &|| {
                 tree.insert(3, 30);
@@ -733,7 +724,7 @@ fn faults_with_a_partial_batch_pending_lose_and_repeat_nothing() {
             &faulted,
         );
         same.insert(3, 30);
-        assert_eq!(tree.to_vec(), same.to_vec(), "{kind:?}");
+        assert_eq!(tree.to_vec(), same.to_vec(), "{kind}");
         // Churn on past several shipped batches, then tear down.
         for i in 0..400 {
             let k = 8 + i % 16;
@@ -744,9 +735,10 @@ fn faults_with_a_partial_batch_pending_lose_and_repeat_nothing() {
         }
         tree.check_invariants();
         drop((tree, same));
-        drained_alike(kind, &faulted, &twin);
-
-        let (faulted, twin) = (ReclaimBackend::new(kind), ReclaimBackend::new(kind));
+        drained_alike(&faulted, &twin);
+    }
+    for (faulted, twin) in backends().into_iter().zip(backends()) {
+        let kind = faulted.name();
         let map: RangeMap<u64> = RangeMap::with_backend(faulted.clone());
         let same: RangeMap<u64> = RangeMap::with_backend(twin.clone());
         // Every span below stays inside the first 64 KiB range-lock slab,
@@ -757,11 +749,7 @@ fn faults_with_a_partial_batch_pending_lose_and_repeat_nothing() {
                 assert!(m.map(slot * 2 * PAGE, slot * 2 * PAGE + PAGE, slot));
             }
         }
-        assert_eq!(
-            faulted.stats().objects_retired,
-            0,
-            "{kind:?}: batch shipped"
-        );
+        assert_eq!(faulted.stats().objects_retired, 0, "{kind}: batch shipped");
         fault_both(
             &|| {
                 map.map(13 * PAGE, 14 * PAGE, 13);
@@ -772,8 +760,8 @@ fn faults_with_a_partial_batch_pending_lose_and_repeat_nothing() {
             &faulted,
         );
         assert!(same.map(13 * PAGE, 14 * PAGE, 13));
-        assert_eq!(map.to_vec(), same.to_vec(), "{kind:?}");
-        assert_eq!(map.held_range_locks(), 0, "{kind:?}");
+        assert_eq!(map.to_vec(), same.to_vec(), "{kind}");
+        assert_eq!(map.held_range_locks(), 0, "{kind}");
         for i in 0..400 {
             let s = (1 + 2 * (i % 6)) * PAGE;
             for m in [&map, &same] {
@@ -782,13 +770,13 @@ fn faults_with_a_partial_batch_pending_lose_and_repeat_nothing() {
             }
         }
         drop((map, same));
-        drained_alike(kind, &faulted, &twin);
+        drained_alike(&faulted, &twin);
     }
 }
 
 /// Graceful degradation end-to-end: a reader pinned across heavy churn on
 /// the hybrid backend keeps `peak_unreclaimed_bytes` bounded (the epoch
-/// backends grow without bound here), and once the blocked garbage
+/// backend grows without bound here), and once the blocked garbage
 /// crosses the domain's budget the stall is detected and surfaced.
 #[test]
 fn stalled_reader_on_hybrid_backend_is_bounded_and_detected() {
@@ -863,7 +851,7 @@ fn chaos_runs_are_replayable_from_their_token() {
 
     let run = || {
         let tree: BonsaiTree<u64, u64> =
-            BonsaiTree::with_backend(ReclaimBackend::new(ReclaimKind::Epoch));
+            BonsaiTree::with_backend(ReclaimBackend::Epoch(Collector::new()));
         let mut rng = Rng(0xdeed);
         let mut panics = 0u64;
         for _ in 0..400 {

@@ -25,12 +25,20 @@
 //! the family's live roots, and the arena family's block ledger balances
 //! against the nodes those roots reach.
 //!
-//! Everything runs on all four reclamation backends.
+//! Everything runs on both reclamation backends.
 
 use std::collections::BTreeMap;
 
 use bonsai::{BonsaiTree, RangeMap};
-use rcukit::{ReclaimBackend, ReclaimKind};
+use rcukit::{Collector, HybridDomain, ReclaimBackend};
+
+/// Both reclamation backends, fresh.
+fn backends() -> [ReclaimBackend; 2] {
+    [
+        ReclaimBackend::Epoch(Collector::new()),
+        ReclaimBackend::Hybrid(HybridDomain::new()),
+    ]
+}
 
 /// Small deterministic RNG (xorshift64*), since the workspace carries no
 /// external dependencies.
@@ -113,11 +121,11 @@ impl Lineage {
     }
 }
 
-fn run_tree_diff(kind: ReclaimKind, seed: u64, steps: u64) {
+fn run_tree_diff(backend: ReclaimBackend, seed: u64, steps: u64) {
     // Miri runs the same logic on a scaled-down step budget (the model.rs
     // ITERS convention); the native runs keep the full interleaving depth.
     let steps = if cfg!(miri) { steps / 20 } else { steps };
-    let backend = ReclaimBackend::new(kind);
+    let kind = backend.name();
     let mut rng = Rng(seed);
     let mut next_id = 0;
 
@@ -179,33 +187,28 @@ fn run_tree_diff(kind: ReclaimKind, seed: u64, steps: u64) {
     }
     backend.synchronize();
     let s = backend.stats();
-    assert!(s.objects_retired > 0, "{kind:?}: nothing was ever retired");
+    assert!(s.objects_retired > 0, "{kind}: nothing was ever retired");
     assert_eq!(
         s.objects_retired, s.objects_freed,
-        "{kind:?}: leaked or double-retired objects after final drain"
+        "{kind}: leaked or double-retired objects after final drain"
     );
     assert_eq!(
         s.bytes_retired, s.bytes_freed,
-        "{kind:?}: byte accounting diverged after final drain"
+        "{kind}: byte accounting diverged after final drain"
     );
 }
 
 #[test]
 fn forked_tree_lineages_match_independent_models() {
-    for kind in [
-        ReclaimKind::Epoch,
-        ReclaimKind::Qsbr,
-        ReclaimKind::Hp,
-        ReclaimKind::Hybrid,
-    ] {
-        run_tree_diff(kind, 0x5eed_0001 ^ kind as u64, 1500);
+    for (salt, backend) in backends().into_iter().enumerate() {
+        run_tree_diff(backend, 0x5eed_0001 ^ salt as u64, 1500);
     }
 }
 
 #[test]
 #[cfg_attr(miri, ignore)] // same logic, larger constants — slow under miri
 fn forked_tree_lineages_match_independent_models_long() {
-    run_tree_diff(ReclaimKind::Epoch, 0xdead_beef, 6000);
+    run_tree_diff(ReclaimBackend::Epoch(Collector::new()), 0xdead_beef, 6000);
 }
 
 /// One range-map lineage with its shadow model (`start -> (end, value)`).
@@ -283,10 +286,10 @@ impl MapLineage {
     }
 }
 
-fn run_map_diff(kind: ReclaimKind, seed: u64, steps: u64) {
+fn run_map_diff(backend: ReclaimBackend, seed: u64, steps: u64) {
     // Same miri scale-down as `run_tree_diff`.
     let steps = if cfg!(miri) { steps / 20 } else { steps };
-    let backend = ReclaimBackend::new(kind);
+    let kind = backend.name();
     let mut rng = Rng(seed);
     let mut next_id = 0;
 
@@ -335,26 +338,21 @@ fn run_map_diff(kind: ReclaimKind, seed: u64, steps: u64) {
     }
     backend.synchronize();
     let s = backend.stats();
-    assert!(s.objects_retired > 0, "{kind:?}: nothing was ever retired");
+    assert!(s.objects_retired > 0, "{kind}: nothing was ever retired");
     assert_eq!(
         s.objects_retired, s.objects_freed,
-        "{kind:?}: leaked or double-retired objects after final drain"
+        "{kind}: leaked or double-retired objects after final drain"
     );
     assert_eq!(
         s.bytes_retired, s.bytes_freed,
-        "{kind:?}: byte accounting diverged after final drain"
+        "{kind}: byte accounting diverged after final drain"
     );
 }
 
 #[test]
 fn forked_range_map_lineages_match_independent_models() {
-    for kind in [
-        ReclaimKind::Epoch,
-        ReclaimKind::Qsbr,
-        ReclaimKind::Hp,
-        ReclaimKind::Hybrid,
-    ] {
-        run_map_diff(kind, 0x5eed_0002 ^ kind as u64, 1200);
+    for (salt, backend) in backends().into_iter().enumerate() {
+        run_map_diff(backend, 0x5eed_0002 ^ salt as u64, 1200);
     }
 }
 
@@ -363,13 +361,8 @@ fn forked_range_map_lineages_match_independent_models() {
 #[test]
 fn fork_chain_drop_orderings_balance_reclaim_stats() {
     for order in [[0usize, 1, 2], [2, 1, 0], [1, 0, 2], [1, 2, 0]] {
-        for kind in [
-            ReclaimKind::Epoch,
-            ReclaimKind::Qsbr,
-            ReclaimKind::Hp,
-            ReclaimKind::Hybrid,
-        ] {
-            let backend = ReclaimBackend::new(kind);
+        for backend in backends() {
+            let kind = backend.name();
             let a: BonsaiTree<u64, u64> = BonsaiTree::with_backend(backend.clone());
             for k in 0..200 {
                 a.insert(k, k);
@@ -405,7 +398,7 @@ fn fork_chain_drop_orderings_balance_reclaim_stats() {
             assert!(s.objects_retired > 0);
             assert_eq!(
                 s.objects_retired, s.objects_freed,
-                "{kind:?} drop order {order:?}: leak or double retirement"
+                "{kind} drop order {order:?}: leak or double retirement"
             );
             assert_eq!(s.bytes_retired, s.bytes_freed);
         }
@@ -425,7 +418,7 @@ fn audit_family(backend: &ReclaimBackend, family: &[&MapLineage]) {
     RangeMap::check_family_invariants(&maps);
 }
 
-/// The never-forked → first-fork transition, on every backend and in both
+/// The never-forked → first-fork transition, on both backends and in both
 /// exit orders: a fresh map runs a few thousand operations with the
 /// counting protocol off (every count 1, replaced nodes listed, blocks in
 /// use == regions mapped — the leak oracle for the list-based retire
@@ -435,15 +428,10 @@ fn audit_family(backend: &ReclaimBackend, family: &[&MapLineage]) {
 #[test]
 fn first_fork_transition_keeps_counts_and_blocks_exact() {
     let ops = if cfg!(miri) { 150 } else { 3000 };
-    for kind in [
-        ReclaimKind::Epoch,
-        ReclaimKind::Qsbr,
-        ReclaimKind::Hp,
-        ReclaimKind::Hybrid,
-    ] {
-        for oldest_first in [true, false] {
-            let backend = ReclaimBackend::new(kind);
-            let mut rng = Rng(0x5eed_0003 ^ kind as u64);
+    for oldest_first in [true, false] {
+        for (salt, backend) in backends().into_iter().enumerate() {
+            let kind = backend.name();
+            let mut rng = Rng(0x5eed_0003 ^ salt as u64);
             let mut parent = MapLineage {
                 map: RangeMap::with_backend(backend.clone()),
                 model: BTreeMap::new(),
@@ -454,11 +442,8 @@ fn first_fork_transition_keeps_counts_and_blocks_exact() {
             }
             audit_family(&backend, &[&parent]);
             let s = backend.stats();
-            assert!(s.objects_retired > 0, "{kind:?}: nothing retired unshared");
-            assert_eq!(
-                s.objects_retired, s.objects_freed,
-                "{kind:?}: unshared leak"
-            );
+            assert!(s.objects_retired > 0, "{kind}: nothing retired unshared");
+            assert_eq!(s.objects_retired, s.objects_freed, "{kind}: unshared leak");
 
             let mut child = MapLineage {
                 map: parent.map.fork(),
@@ -507,7 +492,7 @@ fn first_fork_transition_keeps_counts_and_blocks_exact() {
             let s = backend.stats();
             assert_eq!(
                 s.objects_retired, s.objects_freed,
-                "{kind:?} oldest_first={oldest_first}: leak or double retirement"
+                "{kind} oldest_first={oldest_first}: leak or double retirement"
             );
             assert_eq!(s.bytes_retired, s.bytes_freed);
         }

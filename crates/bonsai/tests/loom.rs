@@ -56,8 +56,17 @@ fn loom_arena_recycle_vs_reader() {
 
 #[test]
 fn loom_reader_vs_pending_ship() {
-    let runs = loomette::Explorer::default().explore(scenarios::reader_vs_pending_ship);
+    let runs = loomette::Explorer::default()
+        .explore(|| scenarios::reader_vs_pending_ship(scenarios::epoch()));
     eprintln!("reader_vs_pending_ship: {runs} schedules");
+    assert!(runs > 500, "exploration degenerated to {runs} schedule(s)");
+}
+
+#[test]
+fn loom_reader_vs_pending_ship_hybrid() {
+    let runs = loomette::Explorer::default()
+        .explore(|| scenarios::reader_vs_pending_ship(scenarios::hybrid()));
+    eprintln!("reader_vs_pending_ship_hybrid: {runs} schedules");
     assert!(runs > 500, "exploration degenerated to {runs} schedule(s)");
 }
 

@@ -48,7 +48,14 @@ fn stress_arena_recycle_vs_reader() {
 #[test]
 fn stress_reader_vs_pending_ship() {
     for _ in 0..ITERS {
-        scenarios::reader_vs_pending_ship();
+        scenarios::reader_vs_pending_ship(scenarios::epoch());
+    }
+}
+
+#[test]
+fn stress_reader_vs_pending_ship_hybrid() {
+    for _ in 0..ITERS {
+        scenarios::reader_vs_pending_ship(scenarios::hybrid());
     }
 }
 

@@ -1,6 +1,6 @@
 //! Payload exactness: once every tree or map of a family is dropped and the
 //! backend has synchronized, every payload ever stored has been dropped
-//! exactly once — on every reclamation backend.
+//! exactly once — on both reclamation backends.
 //!
 //! Writers hand replaced nodes to the backend a chunk at a time, so at any
 //! moment a scratch may hold a partial batch: nodes already unlinked,
@@ -10,18 +10,24 @@
 //! live instances — up on construction and clone, down on drop — so
 //! either mistake leaves the count off zero. The other tests count nodes
 //! (`retired == freed`), which a lost batch never enters.
+//!
+//! The fork storm runs the same oracle with two threads and more than 256
+//! address spaces alive at once, all sharing one parent's subtrees.
 
-use std::sync::atomic::{AtomicIsize, Ordering::Relaxed};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering::Relaxed};
+use std::sync::Barrier;
 
 use bonsai::{BonsaiTree, RangeMap};
-use rcukit::{ReclaimBackend, ReclaimKind};
+use rcukit::{Collector, HybridDomain, ReclaimBackend};
 
-const KINDS: [ReclaimKind; 4] = [
-    ReclaimKind::Epoch,
-    ReclaimKind::Qsbr,
-    ReclaimKind::Hp,
-    ReclaimKind::Hybrid,
-];
+/// Both reclamation backends, fresh.
+fn backends() -> [ReclaimBackend; 2] {
+    [
+        ReclaimBackend::Epoch(Collector::new()),
+        ReclaimBackend::Hybrid(HybridDomain::new()),
+    ]
+}
 
 const PAGE: u64 = 0x1000;
 
@@ -75,7 +81,8 @@ impl Rng {
 
 /// Synchronizes `backend` and checks that nothing is left: no live payload
 /// and no retired node unfreed.
-fn assert_all_dropped(kind: ReclaimKind, backend: &ReclaimBackend, live: &AtomicIsize) {
+fn assert_all_dropped(backend: &ReclaimBackend, live: &AtomicIsize) {
+    let kind = backend.name();
     backend.synchronize();
     assert_eq!(
         live.load(Relaxed),
@@ -95,10 +102,10 @@ fn every_payload_drops_exactly_once_across_map_lineages() {
     const OPS: u64 = if cfg!(miri) { 300 } else { 20_000 };
     const SLOTS: u64 = 48;
     const MAX_LINEAGES: usize = 6;
-    for kind in KINDS {
+    for (salt, backend) in backends().into_iter().enumerate() {
+        let kind = backend.name();
         let live = counter();
-        let backend = ReclaimBackend::new(kind);
-        let mut rng = Rng(0x00DD_BA11 ^ kind as u64);
+        let mut rng = Rng(0x00DD_BA11 ^ salt as u64);
         let mut lineages: Vec<RangeMap<Live>> = vec![RangeMap::with_backend(backend.clone())];
         for _ in 0..OPS {
             let i = rng.below(lineages.len() as u64) as usize;
@@ -126,7 +133,7 @@ fn every_payload_drops_exactly_once_across_map_lineages() {
             "{kind:?}: the lineages hold nothing"
         );
         drop(lineages);
-        assert_all_dropped(kind, &backend, live);
+        assert_all_dropped(&backend, live);
     }
 }
 
@@ -136,9 +143,9 @@ fn every_payload_drops_exactly_once_across_map_lineages() {
 /// the tree's own writer scratch's — and the drop must retire them all.
 #[test]
 fn drops_retire_partial_batches() {
-    for kind in KINDS {
+    for backend in backends() {
+        let kind = backend.name();
         let live = counter();
-        let backend = ReclaimBackend::new(kind);
         let map: RangeMap<Live> = RangeMap::with_backend(backend.clone());
         for slot in 0..6 {
             assert!(map.map(slot * 4 * PAGE, slot * 4 * PAGE + PAGE, Live::new(live)));
@@ -157,6 +164,67 @@ fn drops_retire_partial_batches() {
             "{kind:?}: a batch shipped; the test no longer drops partial ones"
         );
         drop((map, tree, child));
-        assert_all_dropped(kind, &backend, live);
+        assert_all_dropped(&backend, live);
+    }
+}
+
+/// Fork storm: two threads run fork/exec/exit lifecycles off one shared
+/// parent map — fork a child, "exec" (truncate one inherited region and
+/// map a private one over the hole, unmap another), keep the child in a
+/// ring, and drop the oldest once the ring is full. Both rings fill before
+/// either thread drops a child, so more than 256 address spaces are alive
+/// at once, all sharing the parent's subtrees; once every space is gone,
+/// every payload has dropped exactly once and the backend balances
+/// byte-exactly.
+#[test]
+fn fork_storm_over_256_live_spaces_drops_every_payload_once() {
+    // Two rings of 129 children, plus the parent: 259 spaces at once.
+    const RING: usize = if cfg!(miri) { 4 } else { 129 };
+    const LIFECYCLES: usize = if cfg!(miri) { 8 } else { 3 * RING };
+    const SLOTS: u64 = 48;
+    for backend in backends() {
+        let kind = backend.name();
+        let live = counter();
+        let parent: RangeMap<Live> = RangeMap::with_backend(backend.clone());
+        for slot in 0..SLOTS {
+            let start = slot * 4 * PAGE;
+            assert!(parent.map(start, start + 2 * PAGE, Live::new(live)));
+        }
+        let alive = AtomicUsize::new(1);
+        let peak = AtomicUsize::new(1);
+        let rings_full = Barrier::new(2);
+        std::thread::scope(|s| {
+            for t in 0..2u64 {
+                let (parent, alive, peak, rings_full) = (&parent, &alive, &peak, &rings_full);
+                s.spawn(move || {
+                    let mut rng = Rng(0xF0_4C ^ t);
+                    let mut ring = VecDeque::with_capacity(RING);
+                    for i in 0..LIFECYCLES {
+                        let child = parent.fork();
+                        peak.fetch_max(alive.fetch_add(1, Relaxed) + 1, Relaxed);
+                        let start = rng.below(SLOTS) * 4 * PAGE;
+                        assert_eq!(child.unmap_range(start + PAGE, start + 3 * PAGE), 1);
+                        assert!(child.map(start + PAGE, start + 3 * PAGE, Live::new(live)));
+                        drop(child.unmap(rng.below(SLOTS) * 4 * PAGE));
+                        ring.push_back(child);
+                        if ring.len() == RING {
+                            if i + 1 == RING {
+                                rings_full.wait();
+                            }
+                            drop(ring.pop_front());
+                            alive.fetch_sub(1, Relaxed);
+                        }
+                    }
+                    alive.fetch_sub(ring.len(), Relaxed);
+                });
+            }
+        });
+        let peak = peak.load(Relaxed);
+        assert!(
+            peak > 2 * RING,
+            "{kind}: only {peak} spaces were alive at once"
+        );
+        drop(parent);
+        assert_all_dropped(&backend, live);
     }
 }

@@ -23,32 +23,35 @@
 //! retire something inside the explored region first fills the writer's
 //! pending list ([`fill_pending`], or [`prime_pending`] when a recycled
 //! batch should be waiting too).
+//!
+//! Most scenarios run on the epoch collector; [`reader_vs_pending_ship`]
+//! takes its backend as a parameter and runs on the hybrid one as well.
 
 use std::sync::Arc;
 
 use bonsai::{BonsaiTree, RangeMap};
-use rcukit::Collector;
+use rcukit::{Collector, HybridDomain, ReclaimBackend};
 
 #[cfg(loom)]
 use loomette::thread::spawn;
 #[cfg(not(loom))]
 use std::thread::spawn;
 
-/// Objects the collector has been handed so far.
-fn retired(c: &Collector) -> u64 {
-    c.stats().objects_retired
+/// Objects `map`'s backend has been handed so far.
+fn retired(map: &RangeMap<usize>) -> u64 {
+    map.backend().stats().objects_retired
 }
 
 /// Truncates the region `[start, *end)` by its last byte. The region must
 /// be the tree's root, so the truncation — a replace at key `start` —
 /// rebuilds and replaces exactly one published node. Returns the objects
-/// that shipped to the collector meanwhile.
-fn trim_root(c: &Collector, map: &RangeMap<usize>, start: u64, end: &mut u64) -> u64 {
-    let before = retired(c);
+/// that shipped to the backend meanwhile.
+fn trim_root(map: &RangeMap<usize>, start: u64, end: &mut u64) -> u64 {
+    let before = retired(map);
     *end -= 1;
     assert!(*end > start, "trimmed the root region away");
     assert_eq!(map.unmap_range(*end, *end + 1), 1, "root region vanished");
-    retired(c) - before
+    retired(map) - before
 }
 
 /// Nodes a writer scratch lists before its pending list ships: `bonsai`'s
@@ -60,13 +63,9 @@ const RETIRE_CHUNK: u64 = if cfg!(loom) { 4 } else { 64 };
 /// writers share, by `n` trims of the root region `[start, *end)`, none of
 /// which may ship the list. Single-threaded: under the model checker a
 /// prefix with no thread interleavings to explore.
-fn fill_pending(c: &Collector, map: &RangeMap<usize>, start: u64, end: &mut u64, n: u64) {
+fn fill_pending(map: &RangeMap<usize>, start: u64, end: &mut u64, n: u64) {
     for _ in 0..n {
-        assert_eq!(
-            trim_root(c, map, start, end),
-            0,
-            "pending list shipped early"
-        );
+        assert_eq!(trim_root(map, start, end), 0, "pending list shipped early");
     }
 }
 
@@ -75,16 +74,17 @@ fn fill_pending(c: &Collector, map: &RangeMap<usize>, start: u64, end: &mut u64,
 /// every trim adds one node — and refills its pending list to `short_by`
 /// nodes short of the next chunk. Scenarios whose writers must reuse
 /// recycled blocks prime this way: with the collect throttle at 1, the
-/// refill's unpins advance the epoch past the shipped batch and recycle it.
-fn prime_pending(c: &Collector, map: &RangeMap<usize>, start: u64, end: &mut u64, short_by: u64) {
+/// refill's unpins advance the epoch past the shipped batch and recycle it
+/// (a hybrid batch waits for the next scan).
+fn prime_pending(map: &RangeMap<usize>, start: u64, end: &mut u64, short_by: u64) {
     let shipped = loop {
-        match trim_root(c, map, start, end) {
+        match trim_root(map, start, end) {
             0 => {}
             n => break n,
         }
     };
     assert_eq!(shipped, RETIRE_CHUNK, "a retire batch of {shipped} nodes");
-    fill_pending(c, map, start, end, RETIRE_CHUNK - short_by);
+    fill_pending(map, start, end, RETIRE_CHUNK - short_by);
 }
 
 /// Two writers unmap *disjoint* regions while a reader translates one of
@@ -111,8 +111,8 @@ pub fn disjoint_writers() {
     // concurrent second writer gets a fresh one) replaces at least one
     // node and ships the batch. Nothing ships in this prefix, which keeps
     // the three-thread model inside the checker's budget under `tso`.
-    fill_pending(&c, &map, 0x1000, &mut end, RETIRE_CHUNK - 2);
-    assert_eq!(retired(&c), 0, "a batch shipped before the writers ran");
+    fill_pending(&map, 0x1000, &mut end, RETIRE_CHUNK - 2);
+    assert_eq!(retired(&map), 0, "a batch shipped before the writers ran");
 
     // `unmap_range` with the exact region bounds: one writer session each
     // (no widening retry, no pre-read pin), keeping the model small.
@@ -158,7 +158,7 @@ pub fn disjoint_writers() {
         0,
         "disjoint writers contended on the range-lock manager"
     );
-    let shipped = retired(&c);
+    let shipped = retired(&map);
     assert!(shipped > 0, "no retire batch shipped while the writers ran");
     let g = map.pin();
     assert_eq!(map.lookup(0x1800, &g), None);
@@ -252,8 +252,8 @@ pub fn arena_recycle_vs_reader() {
     // Neighbour region so the rebuilt path has nodes to recycle even on
     // the remove of the last key.
     assert!(map.map(0x3000, 0x4000, 7));
-    prime_pending(&c, &map, 0x1000, &mut end, 1);
-    let primed = retired(&c);
+    prime_pending(&map, 0x1000, &mut end, 1);
+    let primed = retired(&map);
 
     let writer = {
         let map = Arc::clone(&map);
@@ -277,7 +277,7 @@ pub fn arena_recycle_vs_reader() {
     writer.join().unwrap();
     reader.join().unwrap();
     assert!(
-        retired(&c) > primed,
+        retired(&map) > primed,
         "the unmap shipped no retire batch while the reader ran"
     );
 
@@ -295,22 +295,24 @@ pub fn arena_recycle_vs_reader() {
 /// A reader walks while the writer's pending batch ships: the set-up
 /// leaves the pending list two nodes short of a chunk, so the writer's
 /// first trim of the root region only lists the node it replaces and the
-/// second ships both with the older ones; with the collect throttle at 1
-/// its unpins advance the epoch, and its last update (a new region)
-/// allocates from whatever has recycled. A reader pinned before the first
-/// trim may be walking the very nodes that batch carries, so it must
-/// still see region 1 with one of the three ends it has had — a batch
-/// that shipped a still-published node, or that the epoch let through
+/// second ships both with the older ones; the writer then reclaims — on
+/// the epoch collector its unpins advance the epoch (collect throttle at
+/// 1), on the hybrid domain it runs one scan — and its last update (a new
+/// region) allocates from whatever has recycled. A reader protected before
+/// the first trim may be walking the very nodes that batch carries, so it
+/// must still see region 1 with one of the three ends it has had — a batch
+/// that shipped a still-published node, or a reclaim that let it through
 /// under the reader's pin, shows as a torn or foreign region.
-pub fn reader_vs_pending_ship() {
-    let c = Collector::with_shards(1);
-    c.set_unpin_collect_period(1);
-    let map: Arc<RangeMap<usize>> = Arc::new(RangeMap::new(c.clone()));
+pub fn reader_vs_pending_ship(backend: ReclaimBackend) {
+    if let ReclaimBackend::Epoch(c) = &backend {
+        c.set_unpin_collect_period(1);
+    }
+    let map: Arc<RangeMap<usize>> = Arc::new(RangeMap::with_backend(backend.clone()));
     let mut end = 0x2000;
     assert!(map.map(0x1000, end, 1));
     assert!(map.map(0x3000, 0x4000, 7));
-    prime_pending(&c, &map, 0x1000, &mut end, 2);
-    let primed = retired(&c);
+    prime_pending(&map, 0x1000, &mut end, 2);
+    let primed = retired(&map);
     let ends = [end, end - 1, end - 2];
 
     let writer = {
@@ -319,15 +321,17 @@ pub fn reader_vs_pending_ship() {
             for e in [ends[1], ends[2]] {
                 assert_eq!(map.unmap_range(e, e + 1), 1);
             }
+            if let ReclaimBackend::Hybrid(d) = map.backend() {
+                d.scan();
+            }
             assert!(map.map(0x5000, 0x6000, 9));
         })
     };
     let reader = {
         let map = Arc::clone(&map);
         spawn(move || {
-            let g = map.pin();
-            let (start, end, &v) = map
-                .translate(0x1800, &g)
+            let (start, end, v) = map
+                .translate_owned(0x1800)
                 .expect("region 1 vanished under a reader");
             assert_eq!((start, v), (0x1000, 1), "reader saw a foreign region");
             assert!(ends.contains(&end), "reader saw a torn end {end:#x}");
@@ -336,16 +340,26 @@ pub fn reader_vs_pending_ship() {
     writer.join().unwrap();
     reader.join().unwrap();
     assert!(
-        retired(&c) > primed,
+        retired(&map) > primed,
         "the pending batch did not ship while the reader ran"
     );
 
     drop(map);
     for _ in 0..4 {
-        c.collect();
+        backend.collect();
     }
-    let s = c.stats();
+    let s = backend.stats();
     assert_eq!(s.objects_retired, s.objects_freed);
+}
+
+/// [`reader_vs_pending_ship`]'s epoch backend: a one-shard collector.
+pub fn epoch() -> ReclaimBackend {
+    ReclaimBackend::Epoch(Collector::with_shards(1))
+}
+
+/// [`reader_vs_pending_ship`]'s hybrid backend.
+pub fn hybrid() -> ReclaimBackend {
+    ReclaimBackend::Hybrid(HybridDomain::new())
 }
 
 /// The arena's owner vs. a recycling thread: a standalone `BonsaiTree`

@@ -100,8 +100,8 @@ pub trait Recycler: Send + Sync {
     unsafe fn recycle(&self, batch: RecycleBatch);
 
     /// Reclaims a single pointer. Reclamation backends that decide per
-    /// pointer whether a retirement may run (the hazard-pointer scan frees
-    /// each unprotected pointer individually) call this instead of
+    /// pointer whether a retirement may run (the hybrid scan frees each
+    /// entry no pinned interval overlaps individually) call this instead of
     /// [`recycle`](Self::recycle). The default wraps the pointer in a
     /// one-element batch; arena-style recyclers override it to return the
     /// block directly, keeping the per-pointer path allocation-free.

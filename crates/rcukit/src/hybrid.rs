@@ -1,13 +1,13 @@
 //! Hybrid (interval-based) reclamation: epoch-cheap reads that degrade
 //! gracefully under a stalled reader.
 //!
-//! The two grace-period backends fail open under a stalled reader — one
-//! stuck pin blocks *every* pending retirement, so garbage grows without
-//! bound (the `stalled-reader` benchmark profile shows epoch/QSBR growing
-//! ~190 MB while one reader sleeps). Hazard pointers bound garbage by
-//! construction but pay per-node protect/validate on traversal. This
-//! backend sits between them, after interval-based reclamation (IBR,
-//! Wen et al., PPoPP'18): a global monotone **era** counter stamps every
+//! The epoch collector fails open under a stalled reader — one stuck pin
+//! blocks *every* pending retirement, so garbage grows with the stall
+//! window (`bonsai/tests/stalled_reader.rs` asserts that shape). Per-pointer
+//! protection schemes bound garbage by construction but pay a
+//! protect/validate step per node on traversal. This backend sits between
+//! the two, after interval-based reclamation (IBR, Wen et al., PPoPP'18):
+//! a global monotone **era** counter stamps every
 //! allocation (`birth`) and retirement (`retire`), and a pinned reader
 //! publishes one **interval** `[lo, hi]` of eras it may be reading in —
 //! `lo` fixed at pin time, `hi` advanced by each validated
@@ -34,8 +34,9 @@
 //! has fallen [`STALL_AGE_ERAS`] eras behind is marked **stalled**
 //! ([`stall_events`](HybridDomain::stall_events) counts the transitions),
 //! and every retirement performed while a stalled pin exists is counted in
-//! [`degraded_ops`](HybridDomain::degraded_ops) — the sweep surfaces both
-//! (schema v7). The stalled reader itself stays perfectly safe: marking
+//! [`degraded_ops`](HybridDomain::degraded_ops), and
+//! [`ReclaimStats`](crate::ReclaimStats) surfaces both. The stalled reader
+//! itself stays perfectly safe: marking
 //! changes no free decision, it only names the pin that the interval rule
 //! is already routing garbage around. The blocked set — the stall-time
 //! live set — is released in full by the first scan after the pin drops.
@@ -47,11 +48,11 @@
 //! is still `e`. Every node reachable from that root was created *before*
 //! the root was published (copy-on-write builds children before parents),
 //! so its `birth` is at most the era current at publication, which is at
-//! most the validated `e ≤ hi`. The `lo ≤ retire` direction is the same
-//! two-sided `SeqCst`-fence argument as the hazard-pointer scan: either
-//! the scan's fence follows the reader's (and the scan observes the
-//! reservation), or the reader's validated load follows the retirer's
-//! unlink (and the reader can never reach the node).
+//! most the validated `e ≤ hi`. The `lo ≤ retire` direction is a
+//! two-sided `SeqCst`-fence (Dekker) argument: either the scan's fence
+//! follows the reader's (and the scan observes the reservation), or the
+//! reader's validated load follows the retirer's unlink (and the reader
+//! can never reach the node).
 
 use std::fmt;
 use std::marker::PhantomData;

@@ -10,10 +10,10 @@
 //! * Readers *pin* the current epoch before touching shared pointers and
 //!   *unpin* when done ([`LocalHandle::pin`], the paper's `rcu_read_begin` /
 //!   `rcu_read_end`). The guard **borrows** its handle (`Guard<'_>`), so a
-//!   pin performs zero shared atomic read-modify-writes and takes no lock:
-//!   it is a swap on the thread's own status word plus a read of the global
-//!   epoch. Page-fault-style readers never contend on a shared cache line,
-//!   however many cores fault at once.
+//!   pin performs zero atomic read-modify-writes and takes no lock: it is a
+//!   plain store to the thread's own status word, one `SeqCst` fence and a
+//!   re-read of the global epoch. Page-fault-style readers never contend on
+//!   a shared cache line, however many cores fault at once.
 //! * Writers retire garbage with [`Guard::defer`] or [`Guard::defer_free`]
 //!   (the paper's `rcu_free`). Retired objects are freed only after a *grace
 //!   period*: two epoch advances, which guarantee that every reader that
@@ -26,22 +26,17 @@
 //! locks built on top — lives in `docs/CONCURRENCY.md` at the repository
 //! root.
 //!
-//! Four reclamation backends are provided, unified behind
+//! Two reclamation backends are provided, unified behind
 //! [`ReclaimBackend`]:
 //!
 //! * [`Collector`] — epoch-based, pin/unpin per critical section, suitable
-//!   for preemptible user space (analogous to Linux's sleepable RCU).
-//! * [`qsbr::QsbrDomain`] — quiescent-state-based, where long-running threads
-//!   periodically announce a quiescent state (analogous to classic
-//!   scheduler-driven kernel RCU).
-//! * [`hp::HpDomain`] — hazard pointers, where readers protect individual
-//!   pointers and unreclaimed garbage is *bounded by construction* even
-//!   under a stalled reader (see the [`reclaim`] module docs for the
-//!   comparison table).
+//!   for preemptible user space (analogous to Linux's sleepable RCU). The
+//!   paper's design, and the one the benchmark measures.
 //! * [`hybrid::HybridDomain`] — interval-based hybrid: epoch-cheap reads
 //!   with per-pin era intervals, degrading gracefully under a stalled
-//!   reader by quarantining it instead of halting reclamation (the
-//!   `stall_events` / `degraded_ops` counters record the degradation).
+//!   reader by routing new garbage around it instead of halting
+//!   reclamation (the `stall_events` / `degraded_ops` counters record the
+//!   degradation; see the [`reclaim`] module docs for the comparison).
 //!
 //! # Quickstart
 //!
@@ -129,10 +124,11 @@
 //!
 //! Three orderings carry the proof; everything else is bookkeeping:
 //!
-//! * **Pin publication** — the status-word publish is a `SeqCst` *swap*
-//!   (a full RMW), followed by a re-read of the global epoch, looping until
-//!   the epoch is unchanged across the store. The RMW orders the publish
-//!   before the critical section's pointer loads, and the stable re-read
+//! * **Pin publication** — the status-word publish is a plain store
+//!   followed by a `SeqCst` fence and a re-read of the global epoch,
+//!   looping until the epoch is unchanged across the store. The fence
+//!   orders the publish before the critical section's pointer loads (and
+//!   pairs with the advance scan's own fence), and the stable re-read
 //!   guarantees some instant at which the global epoch equalled the
 //!   published value — which is what bounds the epoch to `pinned + 1`
 //!   while the thread stays pinned.
@@ -142,8 +138,8 @@
 //!   can linger in the store buffer while this thread reads a stale global
 //!   epoch `tag`; the epoch then advances, a reader pins at `tag + 1`,
 //!   loads the *old* pointer — still visible, the unlink has not drained —
-//!   and outlives the grace period computed from `tag`. The same fence
-//!   guards the QSBR flavour's `defer`.
+//!   and outlives the grace period computed from `tag`. The hybrid
+//!   backend's retire path carries the same fence before its era sample.
 //! * **The guard-free gate** — inline callback execution (unpin-time
 //!   collects, pin-time cache eviction) is gated on a thread-local
 //!   live-guard count of zero. This is a liveness invariant, not a
@@ -170,7 +166,8 @@
 //!   `sync` facade module) swap to the in-tree `loomette` checker, and
 //!   `tests/loom.rs` explores every schedule of the core
 //!   scenarios — pin-publication vs. advance, retire-before-publish,
-//!   the guard-free callback gate — within a preemption bound, including
+//!   the guard-free callback gate, a stalled reader on each backend —
+//!   within a preemption bound, including
 //!   a meta-test that re-seeds a known use-after-free and requires the
 //!   checker to find it.
 //! * **UB detection** (`cargo +nightly miri test -p rcukit -p bonsai`):
@@ -184,23 +181,17 @@
 mod collector;
 mod deferred;
 pub mod faults;
-mod global_default;
 mod guard;
-pub mod hp;
 pub mod hybrid;
-pub mod qsbr;
 pub mod reclaim;
 mod stats;
 mod sync;
 
 pub use collector::{Collector, LocalHandle};
 pub use deferred::{RecycleBatch, Recycler};
-pub use global_default::{default_collector, pin, synchronize};
 pub use guard::Guard;
-pub use hp::{HpDomain, HpSession, HP_SLOTS};
 pub use hybrid::{HybridDomain, HybridGuard};
-pub use qsbr::QsbrDomain;
-pub use reclaim::{ReclaimBackend, ReclaimKind, ReclaimStats};
+pub use reclaim::{ReclaimBackend, ReclaimStats};
 pub use stats::CollectorStats;
 
 /// Number of epoch advances that constitute a grace period.

@@ -1,20 +1,18 @@
-//! The pluggable retire/reclaim contract: one handle type over the four
-//! reclamation backends, so higher layers (the `bonsai` tree, the bench
-//! harness) choose a memory-reclamation strategy at construction time
-//! instead of hard-coding the epoch collector.
+//! The pluggable retire/reclaim contract: one handle type over the two
+//! reclamation backends, so the `bonsai` tree chooses a
+//! memory-reclamation strategy at construction time instead of
+//! hard-coding the epoch collector.
 //!
 //! | backend | protection | garbage bound under a stalled reader |
 //! |---------|------------|--------------------------------------|
 //! | [`Epoch`](ReclaimBackend::Epoch) | pinned critical sections (grace periods) | **unbounded** — one stuck pin blocks every later retirement |
-//! | [`Qsbr`](ReclaimBackend::Qsbr) | quiescent-state announcements | **unbounded** — one silent online thread blocks everything |
-//! | [`Hp`](ReclaimBackend::Hp) | per-pointer hazard slots | `scan_threshold + records × HP_SLOTS` objects, by construction |
 //! | [`Hybrid`](ReclaimBackend::Hybrid) | pinned era intervals (IBR) | the stall-time live set — new retirements route around the stalled pin (budgeted, observable via `stall_events`/`degraded_ops`) |
 //!
 //! The enum is deliberately not a trait object: the backends' read-side
-//! protocols differ too much to hide behind one dynamic interface (epoch
-//! readers hold a [`Guard`](crate::Guard), QSBR readers just stay online,
-//! HP readers publish-and-validate per pointer), and callers dispatch on
-//! the variant exactly where those protocols diverge.
+//! protocols differ (epoch readers hold a [`Guard`](crate::Guard), hybrid
+//! readers pin an interval and validate their snapshot root with
+//! [`HybridGuard::protect`](crate::HybridGuard::protect)), and callers
+//! dispatch on the variant exactly where those protocols diverge.
 //!
 //! # Share-aware retirement (what "retired" promises)
 //!
@@ -36,11 +34,11 @@ use std::fmt;
 use std::sync::atomic::Ordering::Relaxed;
 
 use crate::sync::atomic::AtomicU64;
-use crate::{Collector, HpDomain, HybridDomain, QsbrDomain};
+use crate::{Collector, HybridDomain};
 
 /// Tracks a byte-count increase against its high-water mark.
 ///
-/// Shared by all the backends' retire paths. Written as a CAS loop, not
+/// Shared by both backends' retire paths. Written as a CAS loop, not
 /// `fetch_max`: the sync facade (and the model checker behind it) exposes
 /// only the audited RMW surface, and a lost race here merely under-reports
 /// a transient peak by one in-flight retirement.
@@ -75,10 +73,11 @@ pub struct ReclaimStats {
     /// Total bytes reclaimed.
     pub bytes_freed: u64,
     /// High-water mark of `bytes_retired - bytes_freed` — the
-    /// bounded-garbage gauge the `stalled-reader` benchmark compares.
+    /// bounded-garbage gauge the stalled-reader shape test
+    /// (`bonsai/tests/stalled_reader.rs`) compares across backends.
     pub peak_unreclaimed_bytes: u64,
     /// Times a reader pin was declared stalled (hybrid backend only; the
-    /// other backends report 0 — they have no degradation protocol).
+    /// epoch backend reports 0 — it has no degradation protocol).
     pub stall_events: u64,
     /// Retirements performed while a stalled pin was active (hybrid
     /// backend only).
@@ -92,7 +91,7 @@ impl ReclaimStats {
     }
 }
 
-/// A handle to one of the four reclamation backends.
+/// A handle to one of the two reclamation backends.
 ///
 /// Cheaply clonable (each variant is itself a cheap handle); clones refer
 /// to the same underlying domain.
@@ -101,68 +100,18 @@ pub enum ReclaimBackend {
     /// Epoch-based reclamation: readers pin, retirements wait out a grace
     /// period of two epoch advances.
     Epoch(Collector),
-    /// Quiescent-state-based reclamation: readers are implicitly inside a
-    /// critical section until they announce quiescence.
-    Qsbr(QsbrDomain),
-    /// Hazard pointers: readers protect specific pointers; garbage is
-    /// bounded by construction.
-    Hp(HpDomain),
     /// Hybrid interval-based reclamation: epoch-cheap pins that degrade
     /// gracefully (budgeted, observable) under a stalled reader.
     Hybrid(HybridDomain),
 }
 
-/// Which backend a [`ReclaimBackend`] wraps (a data-less mirror for match
-/// tables and config parsing).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ReclaimKind {
-    /// Epoch-based reclamation ([`Collector`]).
-    Epoch,
-    /// Quiescent-state-based reclamation ([`QsbrDomain`]).
-    Qsbr,
-    /// Hazard pointers ([`HpDomain`]).
-    Hp,
-    /// Hybrid interval-based reclamation ([`HybridDomain`]).
-    Hybrid,
-}
-
-impl ReclaimKind {
-    /// The stable lowercase name used in benchmark output and CLI flags.
-    pub fn name(self) -> &'static str {
-        match self {
-            ReclaimKind::Epoch => "epoch",
-            ReclaimKind::Qsbr => "qsbr",
-            ReclaimKind::Hp => "hp",
-            ReclaimKind::Hybrid => "hybrid",
-        }
-    }
-}
-
 impl ReclaimBackend {
-    /// A fresh backend of the given kind with default tuning.
-    pub fn new(kind: ReclaimKind) -> Self {
-        match kind {
-            ReclaimKind::Epoch => ReclaimBackend::Epoch(Collector::new()),
-            ReclaimKind::Qsbr => ReclaimBackend::Qsbr(QsbrDomain::new()),
-            ReclaimKind::Hp => ReclaimBackend::Hp(HpDomain::new()),
-            ReclaimKind::Hybrid => ReclaimBackend::Hybrid(HybridDomain::new()),
-        }
-    }
-
-    /// Which backend this is.
-    pub fn kind(&self) -> ReclaimKind {
-        match self {
-            ReclaimBackend::Epoch(_) => ReclaimKind::Epoch,
-            ReclaimBackend::Qsbr(_) => ReclaimKind::Qsbr,
-            ReclaimBackend::Hp(_) => ReclaimKind::Hp,
-            ReclaimBackend::Hybrid(_) => ReclaimKind::Hybrid,
-        }
-    }
-
-    /// The backend's stable name (`"epoch"` / `"qsbr"` / `"hp"` /
-    /// `"hybrid"`).
+    /// The backend's stable name (`"epoch"` / `"hybrid"`).
     pub fn name(&self) -> &'static str {
-        self.kind().name()
+        match self {
+            ReclaimBackend::Epoch(_) => "epoch",
+            ReclaimBackend::Hybrid(_) => "hybrid",
+        }
     }
 
     /// Drains everything currently drainable, blocking where the backend's
@@ -170,31 +119,20 @@ impl ReclaimBackend {
     ///
     /// * epoch — waits out a full grace period (the calling thread must not
     ///   be pinned);
-    /// * QSBR — offlines the calling thread's cached handle (it cannot wait
-    ///   on itself), then waits for every other online thread to quiesce;
-    /// * hazard pointers — runs one scan (no grace period exists; whatever
-    ///   a live session still protects remains, by design);
-    /// * hybrid — runs one scan (likewise: whatever a live pin's interval
-    ///   overlaps remains — the budgeted blocked set).
+    /// * hybrid — runs one scan (no grace period exists; whatever a live
+    ///   pin's interval overlaps remains — the budgeted blocked set).
     pub fn synchronize(&self) {
         match self {
             ReclaimBackend::Epoch(c) => c.synchronize(),
-            ReclaimBackend::Qsbr(d) => {
-                d.offline_tls();
-                d.synchronize();
-            }
-            ReclaimBackend::Hp(d) => d.synchronize(),
             ReclaimBackend::Hybrid(d) => d.synchronize(),
         }
     }
 
-    /// One non-blocking reclamation step (epoch advance + reclaim, a grace
-    /// bump + reclaim, or a hazard scan). Returns objects freed.
+    /// One non-blocking reclamation step (epoch advance + reclaim, or an
+    /// interval scan). Returns objects freed.
     pub fn collect(&self) -> usize {
         match self {
             ReclaimBackend::Epoch(c) => c.collect(),
-            ReclaimBackend::Qsbr(d) => d.try_reclaim(),
-            ReclaimBackend::Hp(d) => d.scan(),
             ReclaimBackend::Hybrid(d) => d.scan(),
         }
     }
@@ -213,22 +151,6 @@ impl ReclaimBackend {
                     ..Default::default()
                 }
             }
-            ReclaimBackend::Qsbr(d) => ReclaimStats {
-                objects_retired: d.retired(),
-                objects_freed: d.freed(),
-                bytes_retired: d.bytes_retired(),
-                bytes_freed: d.bytes_freed(),
-                peak_unreclaimed_bytes: d.peak_unreclaimed_bytes(),
-                ..Default::default()
-            },
-            ReclaimBackend::Hp(d) => ReclaimStats {
-                objects_retired: d.retired(),
-                objects_freed: d.freed(),
-                bytes_retired: d.bytes_retired(),
-                bytes_freed: d.bytes_freed(),
-                peak_unreclaimed_bytes: d.peak_unreclaimed_bytes(),
-                ..Default::default()
-            },
             ReclaimBackend::Hybrid(d) => ReclaimStats {
                 objects_retired: d.retired(),
                 objects_freed: d.freed(),
@@ -245,22 +167,6 @@ impl ReclaimBackend {
     pub fn as_epoch(&self) -> Option<&Collector> {
         match self {
             ReclaimBackend::Epoch(c) => Some(c),
-            _ => None,
-        }
-    }
-
-    /// The QSBR domain, if that is the wrapped backend.
-    pub fn as_qsbr(&self) -> Option<&QsbrDomain> {
-        match self {
-            ReclaimBackend::Qsbr(d) => Some(d),
-            _ => None,
-        }
-    }
-
-    /// The hazard-pointer domain, if that is the wrapped backend.
-    pub fn as_hp(&self) -> Option<&HpDomain> {
-        match self {
-            ReclaimBackend::Hp(d) => Some(d),
             _ => None,
         }
     }
@@ -283,18 +189,6 @@ impl fmt::Debug for ReclaimBackend {
 impl From<Collector> for ReclaimBackend {
     fn from(c: Collector) -> Self {
         ReclaimBackend::Epoch(c)
-    }
-}
-
-impl From<QsbrDomain> for ReclaimBackend {
-    fn from(d: QsbrDomain) -> Self {
-        ReclaimBackend::Qsbr(d)
-    }
-}
-
-impl From<HpDomain> for ReclaimBackend {
-    fn from(d: HpDomain) -> Self {
-        ReclaimBackend::Hp(d)
     }
 }
 
@@ -326,33 +220,19 @@ mod tests {
 
     #[test]
     fn every_backend_drains_at_synchronize() {
-        for kind in [
-            ReclaimKind::Epoch,
-            ReclaimKind::Qsbr,
-            ReclaimKind::Hp,
-            ReclaimKind::Hybrid,
+        for backend in [
+            ReclaimBackend::Epoch(Collector::new()),
+            ReclaimBackend::Hybrid(HybridDomain::new()),
         ] {
-            let backend = ReclaimBackend::new(kind);
-            assert_eq!(backend.kind(), kind);
             let fired = Arc::new(AtomicUsize::new(0));
             for _ in 0..4 {
                 let f = Arc::clone(&fired);
+                let callback = move || {
+                    f.fetch_add(1, SeqCst);
+                };
                 match &backend {
-                    ReclaimBackend::Epoch(c) => {
-                        let h = c.register();
-                        h.pin().defer(move || {
-                            f.fetch_add(1, SeqCst);
-                        });
-                    }
-                    ReclaimBackend::Qsbr(d) => d.defer(move || {
-                        f.fetch_add(1, SeqCst);
-                    }),
-                    ReclaimBackend::Hp(d) => d.defer(move || {
-                        f.fetch_add(1, SeqCst);
-                    }),
-                    ReclaimBackend::Hybrid(d) => d.defer(move || {
-                        f.fetch_add(1, SeqCst);
-                    }),
+                    ReclaimBackend::Epoch(c) => c.register().pin().defer(callback),
+                    ReclaimBackend::Hybrid(d) => d.defer(callback),
                 }
             }
             backend.synchronize();
@@ -366,9 +246,7 @@ mod tests {
 
     #[test]
     fn names_are_stable() {
-        assert_eq!(ReclaimBackend::new(ReclaimKind::Epoch).name(), "epoch");
-        assert_eq!(ReclaimBackend::new(ReclaimKind::Qsbr).name(), "qsbr");
-        assert_eq!(ReclaimBackend::new(ReclaimKind::Hp).name(), "hp");
-        assert_eq!(ReclaimBackend::new(ReclaimKind::Hybrid).name(), "hybrid");
+        assert_eq!(ReclaimBackend::from(Collector::new()).name(), "epoch");
+        assert_eq!(ReclaimBackend::from(HybridDomain::new()).name(), "hybrid");
     }
 }

@@ -94,19 +94,9 @@ fn loom_stalled_reader_epoch() {
 }
 
 #[test]
-fn loom_stalled_reader_qsbr() {
-    let runs = loomette::Explorer::default().explore(scenarios::stalled_reader_qsbr);
-    eprintln!("stalled_reader_qsbr: {runs} schedules");
-    assert!(
-        runs > MIN_SCHEDULES_STALLED,
-        "exploration degenerated to {runs} schedule(s)"
-    );
-}
-
-#[test]
-fn loom_stalled_reader_hp() {
-    let runs = loomette::Explorer::default().explore(scenarios::stalled_reader_hp);
-    eprintln!("stalled_reader_hp: {runs} schedules");
+fn loom_stalled_reader_hybrid() {
+    let runs = loomette::Explorer::default().explore(scenarios::stalled_reader_hybrid);
+    eprintln!("stalled_reader_hybrid: {runs} schedules");
     assert!(
         runs > MIN_SCHEDULES_STALLED,
         "exploration degenerated to {runs} schedule(s)"

@@ -56,15 +56,8 @@ fn stress_stalled_reader_epoch() {
 }
 
 #[test]
-fn stress_stalled_reader_qsbr() {
+fn stress_stalled_reader_hybrid() {
     for _ in 0..ITERS {
-        scenarios::stalled_reader_qsbr();
-    }
-}
-
-#[test]
-fn stress_stalled_reader_hp() {
-    for _ in 0..ITERS {
-        scenarios::stalled_reader_hp();
+        scenarios::stalled_reader_hybrid();
     }
 }

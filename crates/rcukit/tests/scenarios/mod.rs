@@ -31,7 +31,7 @@ use std::cell::Cell;
 use std::sync::atomic::Ordering::SeqCst;
 use std::sync::Arc;
 
-use rcukit::{Collector, HpDomain, QsbrDomain};
+use rcukit::{Collector, HybridDomain};
 
 /// Pin publication vs. epoch advance: a reader that observed a slot under
 /// a pinned guard must never see that slot's retirement callback fire
@@ -280,10 +280,10 @@ pub fn deferring_reader_unpin_seals() {
 /// the pin is held — the grace period cannot elapse past a pinned reader —
 /// and a bounded drain must free it once the pin drops.
 ///
-/// This is the protocol shape behind the sweep's `stalled-reader` profile:
-/// on this backend the stalled pin makes unreclaimed garbage grow with the
-/// stall window (here: one object, asserted unreclaimed; in the sweep: a
-/// peak-bytes gauge that scales with ops).
+/// This is the protocol shape behind `bonsai`'s stalled-reader shape test
+/// (`bonsai/tests/stalled_reader.rs`): on this backend the stalled pin
+/// makes unreclaimed garbage grow with the stall window (here: one object,
+/// asserted unreclaimed; there: a peak-bytes gauge that scales with ops).
 pub fn stalled_reader_epoch() {
     let c = Collector::with_shards(1);
     let freed = Arc::new(AtomicBool::new(false));
@@ -323,119 +323,88 @@ pub fn stalled_reader_epoch() {
     );
 }
 
-/// The stalled-reader window on the QSBR backend: the main thread's handle
-/// registers before the writer spawns and never announces a quiescent
-/// state while the writer retires and drives `try_reclaim`. No schedule
-/// may reclaim past the silent handle; once it announces, a bounded
-/// quiesce/reclaim drain must free everything.
-pub fn stalled_reader_qsbr() {
-    let d = QsbrDomain::new();
-    let freed = Arc::new(AtomicBool::new(false));
-    // The stall: registered (online) and silent for the writer's lifetime.
-    let stalled = d.register();
-
-    let writer = {
-        let d = d.clone();
-        let freed = Arc::clone(&freed);
-        spawn(move || {
-            let freed = Arc::clone(&freed);
-            d.defer(move || freed.store(true, SeqCst));
-            // Grace-period bumps racing the stall: `min_seen` is pinned at
-            // the stalled handle's registration epoch, so none may free.
-            for _ in 0..4 {
-                d.try_reclaim();
-            }
-        })
-    };
-    writer.join().unwrap();
-    assert!(
-        !freed.load(SeqCst),
-        "qsbr reclaim freed a retirement before the stalled reader quiesced"
-    );
-
-    // The stall lifts: two announce+reclaim rounds bound the drain (one
-    // announces past the retirement's tag, the next reclaims behind it).
-    for _ in 0..2 {
-        stalled.quiescent();
-        d.try_reclaim();
-    }
-    assert!(
-        freed.load(SeqCst),
-        "retirement never freed after the stalled handle quiesced"
-    );
-}
-
-/// A canary allocation whose drop flips a shared flag — how the HP
-/// scenario observes *when* a retired pointer is actually reclaimed.
-struct DropCanary(Arc<AtomicBool>);
+/// Counts its drops in a shared tally — how the hybrid scenario observes
+/// *which* retirements a scan actually reclaimed.
+struct DropCanary(Arc<AtomicUsize>);
 
 impl Drop for DropCanary {
     fn drop(&mut self) {
-        self.0.store(true, SeqCst);
+        self.0.fetch_add(1, SeqCst);
     }
 }
 
-/// The stalled-reader window on the hazard-pointer backend, plus the
-/// bounded-garbage guarantee the backend exists for: the main thread
-/// protects a node in a hazard slot across the writer's whole lifetime.
-/// The writer retires that node *and* a burst of unprotected dummies past
-/// the scan threshold. In every schedule:
+/// The stalled-reader window on the hybrid backend, plus the property the
+/// backend exists for: garbage born after a stalled pin still reclaims.
+/// The main thread pins an era interval after the birth of an `old` node
+/// and holds the pin across the writer's whole lifetime. The writer
+/// retires `old`, then one era tick's worth of `young` nodes, each born
+/// after the pin's interval, and scans after each phase. In every
+/// schedule:
 ///
-/// * the protected node must survive every scan while the slot holds it;
-/// * the unprotected dummies reclaim without any reader progress — unlike
-///   epoch/QSBR, the stall does not grow garbage, and the retire queue
-///   never exceeds `garbage_bound_objects()`.
-pub fn stalled_reader_hp() {
-    // Threshold 2: the dummy burst crosses it, forcing auto-scans while
-    // the stall holds.
-    let d = HpDomain::with_scan_threshold(2);
-    let freed = Arc::new(AtomicBool::new(false));
-    let node = Box::into_raw(Box::new(DropCanary(Arc::clone(&freed))));
-    // The stall: slot 0 protects the node before the writer spawns.
-    let session = d.session();
-    session.protect(0, node.cast());
+/// * `old` survives every scan while the pin is held — its lifetime
+///   overlaps the pinned interval;
+/// * every `young` node reclaims despite the stall — unlike epoch, the
+///   stall does not grow garbage past what was live when it began.
+pub fn stalled_reader_hybrid() {
+    let d = HybridDomain::new();
+    // Prefix, nothing pinned: count the retirements one era tick takes,
+    // then retire one short of the next tick, so the writer's first
+    // retirement moves the era past the pin below.
+    let start = d.current_era();
+    let mut tick = 0;
+    while d.current_era() == start {
+        d.defer(|| {});
+        tick += 1;
+    }
+    for _ in 1..tick {
+        d.defer(|| {});
+    }
+    d.scan();
+    let (old_freed, young_freed) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+    let old = Box::into_raw(Box::new(DropCanary(Arc::clone(&old_freed))));
+    let old_birth = d.current_era();
+    // The stall: pinned (and its snapshot validated) before the writer
+    // spawns, held past its join.
+    let stall = d.pin();
+    stall.protect(|| old);
 
     let writer = {
         let d = d.clone();
-        let addr = node as usize;
+        let young_freed = Arc::clone(&young_freed);
+        let addr = old as usize;
         spawn(move || {
-            // Retire the protected node...
-            // Safety: `node` came from Box::into_raw, is reachable only
-            // through the stalled session's slot, and is retired once.
-            unsafe { d.defer_free(addr as *mut DropCanary) };
-            // ...and a burst of unprotected dummies crossing the scan
-            // threshold, so auto-scans run under the stall.
-            for _ in 0..4 {
-                // Safety: fresh allocation, never shared, retired once.
-                unsafe { d.defer_free(Box::into_raw(Box::new(0u64))) };
+            // Safety: `old` came from Box::into_raw, is reachable only
+            // through the stalled pin's snapshot, and is retired once.
+            unsafe { d.defer_free_born(addr as *mut DropCanary, old_birth) };
+            d.scan();
+            for _ in 0..tick {
+                let young = Box::new(DropCanary(Arc::clone(&young_freed)));
+                // Safety: fresh allocation, never shared, retired once;
+                // its birth is the era current before it was retired.
+                unsafe { d.defer_free_born(Box::into_raw(young), d.current_era()) };
             }
             d.scan();
         })
     };
     writer.join().unwrap();
-    assert!(
-        !freed.load(SeqCst),
-        "hp scan freed a pointer while a hazard slot protected it"
-    );
-    // Bounded garbage under the stall: one deterministic scan leaves only
-    // the protected node queued, far inside the construction-time bound.
-    d.scan();
     assert_eq!(
-        d.pending(),
-        1,
-        "unprotected retirements survived a scan under the stall"
+        old_freed.load(SeqCst),
+        0,
+        "hybrid scan freed a node the stalled pin's interval covers"
     );
-    assert!(
-        d.pending() <= d.garbage_bound_objects(),
-        "retire queue exceeded the bounded-garbage guarantee"
+    assert_eq!(
+        young_freed.load(SeqCst),
+        tick,
+        "the stalled pin blocked garbage born after its interval"
     );
 
-    // The stall lifts: the node reclaims at the next scan.
-    drop(session);
+    // The stall lifts: `old` reclaims at the next scan.
+    drop(stall);
     d.scan();
-    assert!(
-        freed.load(SeqCst),
-        "protected node never freed after its session dropped"
+    assert_eq!(
+        old_freed.load(SeqCst),
+        1,
+        "old node never freed after the pin dropped"
     );
     assert_eq!(d.pending(), 0);
     assert_eq!(d.retired(), d.freed());
