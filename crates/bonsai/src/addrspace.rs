@@ -33,12 +33,9 @@ use crate::range_map::RangeMap;
 /// Every method linearizes per call, but values derived from multiple
 /// reads — [`regions`](Self::regions) most visibly — are *snapshots*: by
 /// the time the caller inspects the result, concurrent writers may have
-/// changed the mapping set. Likewise a composite mutation (`unmap_range`
-/// splitting a region) is atomic against other writers but may expose
-/// intermediate states to concurrent `fault`s, exactly as a kernel RCU VMA
-/// walk can observe a partially applied `munmap`. Benchmark invariants are
-/// therefore asserted only at quiescent points (after joins / a final
-/// `synchronize`), never mid-replay.
+/// changed the mapping set. Benchmark invariants are therefore asserted
+/// only at quiescent points (after joins / a final `synchronize`), never
+/// mid-replay.
 pub trait AddressSpace: Send + Sync {
     /// Serves a page fault at `addr`: returns `true` if a mapped region
     /// contains the address (the fault would succeed), `false` if it would

@@ -30,13 +30,8 @@
 //!
 //! # What readers observe
 //!
-//! Individual tree updates are atomic (one root CAS each), but a composite
-//! mutation — an `unmap_range` that removes several regions, or a
-//! truncation's remove+reinsert pair — is atomic only with respect to
-//! *writers*. A concurrent lock-free reader may observe intermediate
-//! states (e.g. a region missing the instant before its truncated
-//! remainder is republished), exactly as a kernel RCU VMA walk may observe
-//! a partially applied `munmap`.
+//! Every mutation, `unmap_range` included, is one publication (one root
+//! CAS), so a lock-free reader sees each one wholly applied or not at all.
 
 use std::fmt;
 use std::sync::Arc;
@@ -45,7 +40,9 @@ use rcukit::{Collector, Guard, ReclaimBackend};
 
 use crate::arena::ChunkStore;
 use crate::range_lock::{RangeLocks, RangeWriteGuard};
-use crate::tree::{with_write_session, BonsaiTree, Node, Probe, WriteSess, WriterScratch};
+use crate::tree::{
+    with_write_session, BonsaiTree, Cut, Floor, Node, Probe, WriteSess, WriterScratch,
+};
 
 /// A mapped region: keyed in the tree by its start address, carrying its
 /// exclusive end and a payload.
@@ -58,13 +55,8 @@ struct Extent<V> {
 /// The scratch type pooled by the map's range-lock manager.
 type Scratch<V> = WriterScratch<u64, Extent<V>>;
 
-/// Outcome of one locked attempt at an operation whose affected extent is
-/// discovered under the lock: either it completed, or the extent escaped
-/// the held span and the caller must retry with the wider one.
-enum Attempt<T> {
-    Done(T),
-    Widen(u64, u64),
-}
+/// A held range lock, lending its pooled scratch.
+type Lock<'a, V> = RangeWriteGuard<'a, Scratch<V>>;
 
 /// An interval map of non-overlapping half-open ranges `[start, end)`,
 /// backed by a [`BonsaiTree`] keyed on range start.
@@ -153,7 +145,7 @@ where
 
     /// Acquires the range lock on `[lo, hi)`; a pool miss creates the
     /// lent scratch in this map's arena family.
-    fn acquire(&self, lo: u64, hi: u64) -> RangeWriteGuard<'_, Scratch<V>> {
+    fn acquire(&self, lo: u64, hi: u64) -> Lock<'_, V> {
         self.locks
             .acquire(lo, hi, || Scratch::with_store(self.store.clone()))
     }
@@ -165,10 +157,8 @@ where
     /// backend, arena family, and stripe geometry.
     ///
     /// The fork acquires the *full* address range, excluding every
-    /// concurrent writer: a composite mutation (`unmap_range` removing
-    /// several regions, a truncation's remove+reinsert pair) is atomic
-    /// only with respect to writers, and the child must never be born
-    /// inside one's intermediate state. Readers of the parent are
+    /// concurrent writer, so no commit can release the root it takes its
+    /// count on (see `BonsaiTree::fork_in`). Readers of the parent are
     /// undisturbed.
     pub fn fork(&self) -> Self {
         with_write_session(
@@ -315,9 +305,27 @@ where
         &self,
         lo: u64,
         hi: u64,
-        f: impl FnOnce(&WriteSess<'_>, &mut RangeWriteGuard<'_, Scratch<V>>) -> R,
+        f: impl FnOnce(&WriteSess<'_>, &mut Lock<'_, V>) -> R,
     ) -> R {
         with_write_session(&self.tree, || self.acquire(lo, hi), f)
+    }
+
+    /// Runs `f` [`locked`](Self::locked) on `[lo, hi)` until it completes,
+    /// for operations whose affected extent is discovered under the lock:
+    /// `f` returns `Err` with the span it needs when that extent escapes
+    /// the held one, and the retry takes the union. The span only ever
+    /// grows, so the loop terminates.
+    fn widening<T>(
+        &self,
+        (mut lo, mut hi): (u64, u64),
+        mut f: impl FnMut(&WriteSess<'_>, &mut Lock<'_, V>, (u64, u64)) -> Result<T, (u64, u64)>,
+    ) -> T {
+        loop {
+            match self.locked(lo, hi, |sess, lock| f(sess, lock, (lo, hi))) {
+                Ok(out) => return out,
+                Err((l, h)) => (lo, hi) = (lo.min(l), hi.max(h)),
+            }
+        }
     }
 
     /// Maps `[start, end)` to `value`. Returns `false` (and maps nothing)
@@ -341,9 +349,10 @@ where
                     return false;
                 }
             }
-            // Successor overlap: a region starting inside `[start, end)`.
-            if let Some((succ_start, _)) = self.tree.get_ge_in(&start, sess) {
-                if *succ_start < end {
+            // Successor overlap: a region starting inside `[start, end)`,
+            // as the last region starting before `end` would then be.
+            if let Some((&last, _)) = self.tree.get_le_in(&(end - 1), sess) {
+                if last >= start {
                     return false;
                 }
             }
@@ -364,28 +373,25 @@ where
     pub fn unmap(&self, start: u64) -> Option<V> {
         // A lock-free miss here is a valid linearization point: no region
         // starts at `start` as of this read.
-        let mut hi = self
+        let hi = self
             .tree
             .read_map(&start, Probe::Eq, |_, extent| extent.end)?;
-        loop {
-            let attempt = self.locked(start, hi, |sess, lock| {
-                match self.tree.get_in(&start, sess) {
-                    None => Attempt::Done(None),
-                    Some(extent) if extent.end <= hi => Attempt::Done(
-                        self.tree
-                            .remove_with(&start, sess, lock.scratch())
-                            .map(|extent| extent.value),
-                    ),
-                    // Remapped longer since the optimistic read: the held
-                    // span no longer covers the region.
-                    Some(extent) => Attempt::Widen(start, extent.end),
-                }
-            });
-            match attempt {
-                Attempt::Done(v) => return v,
-                Attempt::Widen(_, end) => hi = end,
+        self.widening((start, hi), |sess, lock, (_, hi)| {
+            match self
+                .tree
+                .get_le_in(&start, sess)
+                .filter(|&(&s, _)| s == start)
+            {
+                None => Ok(None),
+                // Remapped longer since the optimistic read: the held span
+                // no longer covers the region.
+                Some((_, extent)) if extent.end > hi => Err((start, extent.end)),
+                Some(_) => Ok(self
+                    .tree
+                    .remove_with(&start, sess, lock.scratch())
+                    .map(|extent| extent.value)),
             }
-        }
+        })
     }
 
     /// Unmaps every byte in `[start, end)`, kernel-`munmap` style: regions
@@ -394,164 +400,66 @@ where
     /// the whole span is split in two. Returns the number of regions
     /// removed or truncated (`0` if the span touched nothing).
     ///
-    /// Atomic with respect to other writers (the lock span is widened to
-    /// cover every affected region); concurrent readers may observe
-    /// intermediate states of the split — including, briefly, a
-    /// straddler's tail piece coexisting with its not-yet-removed source
-    /// region (consistent answers either way) — as under kernel RCU.
-    ///
-    /// If a `V::clone` panics mid-operation, the composite may be left
-    /// partially applied (some regions in the span still mapped, possibly
-    /// a duplicated tail piece), but coverage of bytes **outside**
-    /// `[start, end)` is never lost and every individual commit is intact
-    /// — the commits are ordered so preserved pieces publish before their
-    /// paired removals. Retrying the call completes the unmap.
+    /// One publication, like every mutation: readers see the map before
+    /// the whole unmap or after it, and a panic (a `V::clone`, say) leaves
+    /// it untouched.
     ///
     /// # Panics
     ///
     /// Panics if `start >= end`.
     pub fn unmap_range(&self, start: u64, end: u64) -> usize {
         assert!(start < end, "empty or inverted range {start:#x}..{end:#x}");
-        let (mut lo, mut hi) = (start, end);
-        loop {
-            let attempt = self.locked(lo, hi, |sess, lock| {
-                // Discovery: the affected regions and the byte extent the
-                // invariant requires us to hold for them.
-                let (mut need_lo, mut need_hi) = (lo, hi);
-                // A region starting strictly before `start` that reaches
-                // into the span.
-                let head = match start
-                    .checked_sub(1)
-                    .and_then(|p| self.tree.get_le_in(&p, sess))
-                {
-                    Some((&a, extent)) if extent.end > start => {
-                        need_lo = need_lo.min(a);
-                        need_hi = need_hi.max(extent.end);
-                        Some(a)
-                    }
-                    _ => None,
-                };
-                // Regions starting inside `[start, end)`, collected into
-                // the scratch's reusable address buffer (taken out for the
-                // duration so `lock.scratch()` stays borrowable; returned
-                // on every exit path) — composite unmaps allocate nothing
-                // once the buffer is warm.
-                let mut inside = std::mem::take(&mut lock.scratch().addrs);
-                inside.clear();
-                let mut probe = start;
-                while let Some((&s, extent)) = self.tree.get_ge_in(&probe, sess) {
-                    if s >= end {
-                        break;
-                    }
-                    // Failpoint: unwind mid-discovery, while the address
-                    // buffer is checked out of the pooled scratch and the
-                    // range lock is held — nothing is mutated yet, so the
-                    // map must come out untouched, the lock released, and
-                    // the next writer lent a clean scratch (the taken
-                    // buffer is dropped; the scratch keeps the fresh empty
-                    // one `take` left, merely cold).
-                    rcukit::faults::maybe_panic(rcukit::faults::site::UNMAP_DISCOVERY);
-                    need_hi = need_hi.max(extent.end);
-                    inside.push(s);
-                    probe = s + 1; // s < end <= u64::MAX: no overflow
+        self.widening((start, end), |sess, lock, (lo, hi)| {
+            let mut escaped = None;
+            let affected = self.tree.cut_span_with(sess, lock.scratch(), |floor| {
+                let (cut, reach) = Self::plan_cut(floor, start, end)?;
+                if cut.lo < lo || reach > hi {
+                    // The affected regions reach past the held span: cut
+                    // nothing, and retry holding all of them.
+                    escaped = Some((cut.lo, reach));
+                    return None;
                 }
-                if need_lo < lo || need_hi > hi {
-                    lock.scratch().addrs = inside;
-                    return Attempt::Widen(need_lo, need_hi);
-                }
-
-                // Mutation: the held span covers every affected byte, so
-                // no concurrent writer can touch these regions now. The
-                // commits are ordered so coverage of bytes *outside*
-                // `[start, end)` is never lost even if a `V::clone`
-                // panics between them: every piece that preserves outside
-                // bytes (a straddler's tail beyond `end`, the head piece
-                // below `start`) is published *before* — or, for the head,
-                // *in the same single commit as* — the removal it pairs
-                // with. A panic mid-sequence can only leave the span
-                // partially unmapped plus (until the tail's source region
-                // is removed) transiently duplicated tail coverage, which
-                // readers resolve consistently; it can never unmap bytes
-                // the caller did not name. The fallible clones also run
-                // before their commit, so the common panic aborts with
-                // the tree fully unchanged (`DrainOnUnwind` in `tree.rs`
-                // frees the speculative path).
-                let mut affected = 0;
-                if let Some(a) = head {
-                    // Copy the fields out *before* the first commit: a
-                    // commit may ship the node behind this reference, and
-                    // a hybrid scan can free a shipped node while this
-                    // writer's session is still open (the hybrid writer
-                    // holds a gate, not an era reservation, so nothing
-                    // covers its references across mutations).
-                    let (old_end, head_value) = {
-                        let extent = self
-                            .tree
-                            .get_in(&a, sess)
-                            .expect("straddling region vanished under its range lock");
-                        (extent.end, extent.value.clone())
-                    };
-                    if old_end > end {
-                        // Region encloses the whole span: publish the tail
-                        // piece [end, old_end) first.
-                        self.tree.insert_with(
-                            end,
-                            Extent {
-                                end: old_end,
-                                value: head_value.clone(),
-                            },
-                            sess,
-                            lock.scratch(),
-                        );
-                    }
-                    // Truncate [a, old_end) to [a, start) as one in-place
-                    // replace at key `a` — a single root CAS, so the head
-                    // piece can never be lost between a remove and a
-                    // reinsert (and one tree update instead of two).
-                    self.tree.insert_with(
-                        a,
-                        Extent {
-                            end: start,
-                            value: head_value,
-                        },
-                        sess,
-                        lock.scratch(),
-                    );
-                    affected += 1;
-                }
-                for &s in &inside {
-                    let extent = self
-                        .tree
-                        .get_in(&s, sess)
-                        .expect("inside region vanished under its range lock");
-                    if extent.end > end {
-                        // Tail straddler: publish [end, old_end) before
-                        // removing its source region.
-                        let tail = Extent {
-                            end: extent.end,
-                            value: extent.value.clone(),
-                        };
-                        self.tree.insert_with(end, tail, sess, lock.scratch());
-                    }
-                    self.tree
-                        .remove_with(&s, sess, lock.scratch())
-                        .expect("inside region vanished under its range lock");
-                    affected += 1;
-                }
-                inside.clear();
-                lock.scratch().addrs = inside;
-                Attempt::Done(affected)
+                Some(cut)
             });
-            match attempt {
-                Attempt::Done(n) => return n,
-                Attempt::Widen(new_lo, new_hi) => {
-                    // Monotone widening: the span only ever grows, so the
-                    // retry loop terminates.
-                    lo = lo.min(new_lo);
-                    hi = hi.max(new_hi);
-                }
-            }
-        }
+            escaped.map_or(Ok(affected), Err)
+        })
+    }
+
+    /// The [`Cut`] that unmaps `[start, end)` from the version `floor`
+    /// reads, with the end of the byte extent it affects, or `None` if the
+    /// span touches no region. Every affected region lies between two
+    /// probes: the head straddler (the region before `start` reaching past
+    /// it), which comes back trimmed as `first`, and the last region
+    /// starting before `end`, whose piece past `end` comes back as `last` —
+    /// or the head's, when the head encloses the span. The cut's `lo` is
+    /// where the extent starts.
+    fn plan_cut(
+        floor: &Floor<'_, u64, Extent<V>>,
+        start: u64,
+        end: u64,
+    ) -> Option<(Cut<u64, Extent<V>>, u64)> {
+        let piece = |end, x: &Extent<V>| Extent {
+            end,
+            value: x.value.clone(),
+        };
+        let head = start
+            .checked_sub(1)
+            .and_then(|p| floor(&p))
+            .filter(|(_, x)| x.end > start);
+        let last = floor(&(end - 1)).filter(|&(&s, _)| s >= start);
+        let (&hi, src) = last.or(head)?;
+        let lo = head.map_or(start, |(&a, _)| a);
+        let first = head.map(|(_, x)| piece(start, x));
+        let last = (src.end > end).then(|| (end, piece(src.end, src)));
+        Some((
+            Cut {
+                lo,
+                hi,
+                first,
+                last,
+            },
+            end.max(src.end),
+        ))
     }
 
     /// Finds the region containing `addr` (the page-fault path). Lock-free;
@@ -981,53 +889,74 @@ mod tests {
         assert!(s.objects_retired > 0);
     }
 
-    /// A `V::clone` panicking inside `unmap_range` must never cost bytes
-    /// outside the requested span: the fallible clones run before their
-    /// commits (common case: tree unchanged entirely), and preserved
-    /// pieces publish before their paired removals.
+    /// A `V::clone` panicking anywhere inside `unmap_range` leaves the map
+    /// exactly as it was, with no range lock held: every clone runs before
+    /// the one commit. The fuse blows at each clone index in turn, on an
+    /// enclosing split and on a head + inside + tail span.
     #[test]
-    fn panicking_clone_in_unmap_range_loses_no_outside_bytes() {
+    fn panicking_clone_in_unmap_range_leaves_the_map_unchanged() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
-        use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
-        static ARMED: AtomicBool = AtomicBool::new(false);
-        #[derive(Debug)]
+        use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+        // Clones left before one panics; the blown fuse wraps to disarmed.
+        static FUSE: AtomicUsize = AtomicUsize::new(usize::MAX);
         struct Fuse(u64);
         impl Clone for Fuse {
             fn clone(&self) -> Self {
-                if ARMED.swap(false, SeqCst) {
+                if FUSE.fetch_sub(1, SeqCst) == 0 {
                     panic!("fuse blown mid-unmap_range");
                 }
                 Fuse(self.0)
             }
         }
-        let m: RangeMap<Fuse> = RangeMap::new(Collector::new());
-        assert!(m.map(0x1000, 0x6000, Fuse(7)));
-        // Split attempt whose first fallible clone (the tail piece of the
-        // enclosing region) panics: the tree must be fully unchanged.
-        ARMED.store(true, SeqCst);
-        let blown = catch_unwind(AssertUnwindSafe(|| m.unmap_range(0x3000, 0x4000)));
-        assert!(blown.is_err(), "armed clone must panic");
-        assert_eq!(
+        let contents = |m: &RangeMap<Fuse>| -> Vec<(u64, u64, u64)> {
             m.to_vec()
                 .into_iter()
                 .map(|(s, e, v)| (s, e, v.0))
-                .collect::<Vec<_>>(),
-            vec![(0x1000, 0x6000, 7)],
-            "aborted unmap_range changed the map"
-        );
-        // Retrying (fuse disarmed) completes the split; outside bytes
-        // [0x1000,0x3000) and [0x4000,0x6000) were never lost.
-        assert_eq!(m.unmap_range(0x3000, 0x4000), 1);
-        assert_eq!(
-            m.to_vec()
-                .into_iter()
-                .map(|(s, e, _)| (s, e))
-                .collect::<Vec<_>>(),
-            vec![(0x1000, 0x3000), (0x4000, 0x6000)]
-        );
-        m.collector().synchronize();
-        let s = m.collector().stats();
-        assert_eq!(s.objects_retired, s.objects_freed);
+                .collect()
+        };
+        let enclosing: &[(u64, u64, u64)] = &[(0x1000, 0x6000, 7)];
+        let mixed: &[(u64, u64, u64)] = &[
+            (0x1000, 0x3000, 1),
+            (0x3000, 0x4000, 2),
+            (0x4000, 0x5000, 3),
+            (0x6000, 0x9000, 4),
+        ];
+        for (regions, span, affected, after) in [
+            (
+                enclosing,
+                (0x3000, 0x4000),
+                1,
+                vec![(0x1000, 0x3000, 7), (0x4000, 0x6000, 7)],
+            ),
+            (
+                mixed,
+                (0x2000, 0x7000),
+                4,
+                vec![(0x1000, 0x2000, 1), (0x7000, 0x9000, 4)],
+            ),
+        ] {
+            for blow_at in 0.. {
+                let m: RangeMap<Fuse> = RangeMap::new(Collector::new());
+                for &(s, e, v) in regions {
+                    assert!(m.map(s, e, Fuse(v)));
+                }
+                FUSE.store(blow_at, SeqCst);
+                let blown = catch_unwind(AssertUnwindSafe(|| m.unmap_range(span.0, span.1)));
+                FUSE.store(usize::MAX, SeqCst);
+                if blown.is_ok() {
+                    assert!(blow_at >= 2, "unmap_range cloned {blow_at} values");
+                    assert_eq!(contents(&m), after);
+                    break;
+                }
+                assert_eq!(contents(&m), regions, "clone {blow_at} changed the map");
+                assert_eq!(m.held_range_locks(), 0, "clone {blow_at} leaked its lock");
+                assert_eq!(m.unmap_range(span.0, span.1), affected);
+                assert_eq!(contents(&m), after);
+                m.collector().synchronize();
+                let s = m.collector().stats();
+                assert_eq!(s.objects_retired, s.objects_freed);
+            }
+        }
     }
 
     /// The map's pooled writer scratches (distinct from the tree's, which

@@ -303,9 +303,6 @@ pub(crate) struct WriterScratch<K, V> {
     /// to. Sibling scratches' nodes may also recycle here; see
     /// `crate::arena` on block migration.
     pub(crate) arena: Arena<Node<K, V>>,
-    /// Reusable address buffer lent to `RangeMap::unmap_range`'s discovery
-    /// pass, so composite unmaps stay allocation-free too.
-    pub(crate) addrs: Vec<u64>,
     /// Birth era stamped into every node `mk` builds this writer entry —
     /// the hybrid domain's era sampled when the entry began; 0 under the
     /// epoch backend (it ignores the stamp).
@@ -349,7 +346,6 @@ impl<K, V> WriterScratch<K, V> {
             replaced: RecycleBatch::new(),
             pending: RecycleBatch::new(),
             arena: Arena::with_store(store),
-            addrs: Vec::new(),
             birth_era: 0,
             exclusive: false,
         }
@@ -407,17 +403,18 @@ impl<K, V> WriterScratch<K, V> {
         }
     }
 
-    /// Records that `n` was rotated out of the path being rebuilt: one of
-    /// this attempt's own nodes (found in `fresh`: back to the arena on
-    /// the spot) or a published one (joins `replaced`). Membership in the
-    /// attempt's own list is the only freshness test (see [`Node`]'s `rc`).
+    /// Records that `n` (if not null) was rotated out of the path being
+    /// rebuilt: one of this attempt's own nodes (found in `fresh`: back to
+    /// the arena on the spot) or a published one (joins `replaced`).
+    /// Membership in the attempt's own list is the only freshness test
+    /// (see [`Node`]'s `rc`).
     ///
     /// # Safety
     ///
-    /// `n` must be a live node the attempt no longer links and will not
-    /// read again.
+    /// `n` must be null or a live node the attempt no longer links and
+    /// will not read again.
     unsafe fn unlink(&mut self, n: *mut Node<K, V>) {
-        if !self.exclusive {
+        if !self.exclusive || n.is_null() {
             return;
         }
         match self.fresh.iter().rposition(|&f| f == n) {
@@ -491,21 +488,20 @@ struct CommitOnUnwind<'a, 's, K: Send + 'static, V: Send + 'static> {
     old_root: *mut Node<K, V>,
     new_root: *mut Node<K, V>,
     len: &'a AtomicUsize,
-    /// `+1` for an insert of a new key, `-1` for a remove, `0` for a
-    /// replacement.
-    delta: i8,
+    /// The update's change in key count: `+1` for an insert of a new key,
+    /// `-1` for a remove, `0` for a replacement, anything for a span cut.
+    delta: isize,
 }
 
 impl<K: Send + 'static, V: Send + 'static> Drop for CommitOnUnwind<'_, '_, K, V> {
     fn drop(&mut self) {
         self.scratch.commit(self.sess, self.old_root, self.new_root);
-        // ordering: Release — pairs with `len`'s Acquire so an observed
-        // count implies the commit behind it.
-        match self.delta {
-            1 => self.len.fetch_add(1, Ordering::Release),
-            -1 => self.len.fetch_sub(1, Ordering::Release),
-            _ => 0,
-        };
+        if self.delta != 0 {
+            // ordering: Release — pairs with `len`'s Acquire so an observed
+            // count implies the commit behind it. The add wraps, so a
+            // negative delta subtracts.
+            self.len.fetch_add(self.delta as usize, Ordering::Release);
+        }
     }
 }
 
@@ -633,6 +629,21 @@ pub(crate) enum Probe {
     /// Least entry with key `>= key`.
     Ge,
 }
+
+/// One span cut, as a [`BonsaiTree::cut_span_with`] plan describes it:
+/// every key in `lo..=hi` leaves the tree, then `first` (if any) comes back
+/// at `lo` and `last` (if any) goes in, its key between `hi` and the next
+/// key the tree keeps.
+pub(crate) struct Cut<K, V> {
+    pub(crate) lo: K,
+    pub(crate) hi: K,
+    pub(crate) first: Option<V>,
+    pub(crate) last: Option<(K, V)>,
+}
+
+/// How a [`BonsaiTree::cut_span_with`] plan reads the version its attempt
+/// was handed: the entry with the greatest key `<=` the one asked for.
+pub(crate) type Floor<'v, K, V> = dyn Fn(&K) -> Option<(&'v K, &'v V)> + 'v;
 
 /// Write-side protection token, one variant per reclamation backend. Held
 /// for the whole lock→load→rebuild→CAS→retire window of an update; what it
@@ -1264,33 +1275,15 @@ where
         self.read_map(key, Probe::Ge, |k, v| (k.clone(), v.clone()))
     }
 
-    /// [`get`](Self::get) under a checked write session — for writer paths
-    /// (`RangeMap`) that read while already holding their backend's
-    /// write-side protection. The reference is valid for the shorter of
+    /// [`get_le`](Self::get_le) under a checked write session — for writer
+    /// paths (`RangeMap`) that read while already holding their backend's
+    /// write-side protection. The references are valid for the shorter of
     /// the session and the tree borrow.
-    pub(crate) fn get_in<'t>(&'t self, key: &K, sess: &WriteSess<'_>) -> Option<&'t V> {
+    pub(crate) fn get_le_in<'t>(&'t self, key: &K, sess: &WriteSess<'_>) -> Option<(&'t K, &'t V)> {
         self.check_sess(sess);
         // Safety: a checked session protects the traversal on either
         // backend (pin / writer gate — see `WriteSess`).
-        let n = unsafe { self.find(key, Probe::Eq) };
-        // Safety: `n` stays live for the session.
-        (!n.is_null()).then(|| unsafe { &(*n).value })
-    }
-
-    /// [`get_le`](Self::get_le) under a checked write session.
-    pub(crate) fn get_le_in<'t>(&'t self, key: &K, sess: &WriteSess<'_>) -> Option<(&'t K, &'t V)> {
-        self.check_sess(sess);
-        // Safety: as in `get_in`.
         let n = unsafe { self.find(key, Probe::Le) };
-        // Safety: `n` stays live for the session.
-        (!n.is_null()).then(|| unsafe { (&(*n).key, &(*n).value) })
-    }
-
-    /// [`get_ge`](Self::get_ge) under a checked write session.
-    pub(crate) fn get_ge_in<'t>(&'t self, key: &K, sess: &WriteSess<'_>) -> Option<(&'t K, &'t V)> {
-        self.check_sess(sess);
-        // Safety: as in `get_in`.
-        let n = unsafe { self.find(key, Probe::Ge) };
         // Safety: `n` stays live for the session.
         (!n.is_null()).then(|| unsafe { (&(*n).key, &(*n).value) })
     }
@@ -1322,10 +1315,18 @@ where
         scratch: &mut WriterScratch<K, V>,
     ) -> Option<V> {
         self.publish(sess, scratch, |root, scratch| {
+            let cut = Cut {
+                lo: key.clone(),
+                hi: key.clone(),
+                first: Some(value.clone()),
+                last: None,
+            };
             // Safety: `root` was published and the write session keeps
             // every node reachable from it live and immutable.
-            let (new_root, old) = unsafe { Self::insert_rec(root, &key, &value, scratch) };
-            Ok((new_root, i8::from(old.is_none()), old))
+            let (new_root, hit) = unsafe { Self::cut_rec(root, cut, scratch) };
+            // Safety: the hit is null or a node of `root`, still published.
+            let old = unsafe { hit.as_ref() }.map(|n| n.value.clone());
+            Ok((new_root, isize::from(old.is_none()), old))
         })
     }
 
@@ -1352,14 +1353,56 @@ where
         scratch: &mut WriterScratch<K, V>,
     ) -> Option<V> {
         self.publish(sess, scratch, |root, scratch| {
+            let cut = Cut {
+                lo: key.clone(),
+                hi: key.clone(),
+                first: None,
+                last: None,
+            };
             // Safety: as in `insert_with`.
-            let (new_root, old) = unsafe { Self::remove_rec(root, key, scratch) };
-            match old {
+            let (new_root, hit) = unsafe { Self::cut_rec(root, cut, scratch) };
+            // Safety: as in `insert_with`.
+            match unsafe { hit.as_ref() } {
                 // A miss rebuilds nothing and therefore replaces nothing;
                 // the answer is valid as of the root load, no CAS needed.
                 None => Err(None),
-                Some(_) => Ok((new_root, -1, old)),
+                Some(old) => Ok((new_root, -1, Some(old.value.clone()))),
             }
+        })
+    }
+
+    /// Cuts a span out of the tree in one publication: `plan` reads the
+    /// version the attempt was handed and returns the [`Cut`] to make, or
+    /// `None` to publish nothing (the span touches nothing, say). A
+    /// retry after a lost CAS re-plans from the winner's root, so no entry
+    /// read before the commit outlives it. Returns the number of keys in
+    /// `lo..=hi`, which all left the tree (`first` puts one back). Same
+    /// CAS-with-retry contract as [`Self::insert_with`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sess` belongs to a different backend or domain.
+    pub(crate) fn cut_span_with(
+        &self,
+        sess: &WriteSess<'_>,
+        scratch: &mut WriterScratch<K, V>,
+        mut plan: impl FnMut(&Floor<'_, K, V>) -> Option<Cut<K, V>>,
+    ) -> usize {
+        self.publish(sess, scratch, |root, scratch| {
+            let floor = |key: &K| {
+                // Safety: the write session keeps every node reachable from
+                // `root` live and immutable for the whole attempt.
+                let n = unsafe { Self::walk_from(root, key, Probe::Le).as_ref() };
+                n.map(|n| (&n.key, &n.value))
+            };
+            let Some(cut) = plan(&floor) else {
+                return Err(0);
+            };
+            let restored = isize::from(cut.first.is_some()) + isize::from(cut.last.is_some());
+            // Safety: as in `insert_with`.
+            let (new_root, _) = unsafe { Self::cut_rec(root, cut, scratch) };
+            let delta = Self::size_of(new_root) as isize - Self::size_of(root) as isize;
+            Ok((new_root, delta, (restored - delta) as usize))
         })
     }
 
@@ -1384,7 +1427,7 @@ where
         mut rebuild: impl FnMut(
             *mut Node<K, V>,
             &mut WriterScratch<K, V>,
-        ) -> Result<(*mut Node<K, V>, i8, R), R>,
+        ) -> Result<(*mut Node<K, V>, isize, R), R>,
     ) -> R {
         self.check_sess(sess);
         debug_assert!(scratch.is_drained());
@@ -1605,7 +1648,8 @@ where
 
     /// Builds a balanced node over `l`, `(key, value)`, `r`, where the two
     /// subtrees' weights differ by at most one element from a balanced
-    /// state (the single-update invariant).
+    /// state (the single-update invariant) — or, called by
+    /// [`link`](Self::link), by one spine level's worth.
     ///
     /// # Safety
     ///
@@ -1690,179 +1734,216 @@ where
         }
     }
 
-    /// Copy-on-write insert. Returns the new subtree root and the displaced
-    /// value, collecting fresh allocations — and, on an unshared tree, the
-    /// published nodes they replace ([`WriterScratch::replace`]; `n` is
-    /// always a published node here, the recursion only descends published
-    /// links) — into the scratch.
+    /// The copy-on-write rebuild behind every update: removes every key in
+    /// `cut.lo..=cut.hi` from published subtree `n` and puts back
+    /// `cut.first` (at `lo`) and `cut.last`. Above the span it copies the
+    /// search path, relinking each node over its cut child. The first node
+    /// whose key lies in the span (the *hit*; null if the path ends first)
+    /// is where the span hangs: its left subtree splits at `lo`, its right
+    /// one at `hi`, what lies between leaves the tree, and the outer parts
+    /// link back around the kept entries. A subtree the cut leaves alone
+    /// comes back as-is, so a miss copies nothing. Returns the new subtree
+    /// and the hit, which stays published for the rest of the attempt.
     ///
     /// # Safety
     ///
-    /// Caller holds a pinned guard; `n` is a subtree root that was
-    /// published when the guard was already pinned (or null), so every
-    /// reachable node is live and immutable.
-    unsafe fn insert_rec(
+    /// The write session keeps `n` (null or published) and every node
+    /// reachable from it live and immutable.
+    unsafe fn cut_rec(
         n: *mut Node<K, V>,
-        key: &K,
-        value: &V,
+        cut: Cut<K, V>,
         scratch: &mut WriterScratch<K, V>,
-    ) -> (*mut Node<K, V>, Option<V>) {
-        if n.is_null() {
-            let out = Self::mk(
-                scratch,
-                ptr::null_mut(),
-                key.clone(),
-                value.clone(),
-                ptr::null_mut(),
-            );
-            return (out, None);
+    ) -> (*mut Node<K, V>, *mut Node<K, V>) {
+        // Safety: `n` is null or a valid published node.
+        let node = unsafe { n.as_ref() };
+        if let Some(node) = node.filter(|x| x.key < cut.lo || x.key > cut.hi) {
+            let below = node.key < cut.lo;
+            // Safety: recursing with the same contract.
+            let (l, r, hit) = unsafe {
+                if below {
+                    let (r, hit) = Self::cut_rec(node.right, cut, scratch);
+                    (node.left, r, hit)
+                } else {
+                    let (l, hit) = Self::cut_rec(node.left, cut, scratch);
+                    (l, node.right, hit)
+                }
+            };
+            if (l, r) == (node.left, node.right) {
+                return (n, hit);
+            }
+            let (k, v) = (node.key.clone(), node.value.clone());
+            // Safety: `l`/`r` are `n`'s children, one of them cut.
+            let out = unsafe { Self::link(l, k, v, r, scratch) };
+            scratch.replace(n);
+            return (out, hit);
         }
-        // Safety: `n` is a valid published node, immutable under the guard.
-        let node = unsafe { &*n };
-        match key.cmp(&node.key) {
-            Cmp::Equal => {
-                let old = node.value.clone();
-                let out = Self::mk(scratch, node.left, key.clone(), value.clone(), node.right);
-                scratch.replace(n);
-                (out, Some(old))
+        let null = ptr::null_mut();
+        let (left, right) = node.map_or((null, null), |x| (x.left, x.right));
+        let (at_lo, at_hi) = node.map_or((true, true), |x| (x.key == cut.lo, x.key == cut.hi));
+        // Safety: `n`'s children are published; `n`, the pivots and the
+        // parts between the outer ones are linked nowhere in the new
+        // version; `first` sorts between `l` and `last`, `last` before `r`.
+        unsafe {
+            let (l, lo_pivot, l_gone) = match at_lo {
+                true => (left, null, null),
+                false => Self::split(left, &cut.lo, scratch),
+            };
+            let (r_gone, hi_pivot, r) = match at_hi {
+                true => (null, null, right),
+                false => Self::split(right, &cut.hi, scratch),
+            };
+            for gone in [n, lo_pivot, hi_pivot] {
+                scratch.unlink(gone);
             }
-            Cmp::Less => {
-                // Safety: recursing with the same contract.
-                let (nl, old) = unsafe { Self::insert_rec(node.left, key, value, scratch) };
-                let out =
-                    // Safety: `nl` is owned by this update, `node.right` is
-                    // published; both valid.
-                    unsafe { Self::balance(nl, node.key.clone(), node.value.clone(), node.right, scratch) };
-                scratch.replace(n);
-                (out, old)
-            }
-            Cmp::Greater => {
-                // Safety: recursing with the same contract.
-                let (nr, old) = unsafe { Self::insert_rec(node.right, key, value, scratch) };
-                let out =
-                    // Safety: as in the `Less` arm, mirrored.
-                    unsafe { Self::balance(node.left, node.key.clone(), node.value.clone(), nr, scratch) };
-                scratch.replace(n);
-                (out, old)
-            }
+            Self::unlink_subtree(l_gone, scratch);
+            Self::unlink_subtree(r_gone, scratch);
+            let out = match (cut.first, cut.last) {
+                (None, None) => Self::join(l, r, scratch),
+                (Some(v), None) => Self::link(l, cut.lo, v, r, scratch),
+                (None, Some((k, v))) => Self::link(l, k, v, r, scratch),
+                (Some(v), Some((k, w))) => {
+                    let r = Self::link(null, k, w, r, scratch);
+                    Self::link(l, cut.lo, v, r, scratch)
+                }
+            };
+            (out, n)
         }
     }
 
-    /// Copy-on-write remove. If the key is absent the original subtree is
-    /// returned untouched (no reallocation along the path).
+    /// Adams' `concat3`: a balanced tree over `l`, `(key, value)` and `r`
+    /// whatever their weights, where every key in `l` is less than `key`
+    /// and every key in `r` greater. Descends the heavier side's inner
+    /// spine until the sides balance, links there, and rebalances each
+    /// copied spine node on the way back up.
     ///
     /// # Safety
     ///
-    /// Same contract as [`Self::insert_rec`].
-    unsafe fn remove_rec(
-        n: *mut Node<K, V>,
-        key: &K,
+    /// `l`/`r` are valid subtree roots, published or built by this update,
+    /// and linked nowhere else in it. Every node the rebuild copies goes
+    /// through [`WriterScratch::unlink`] (as in [`Self::balance`]).
+    unsafe fn link(
+        l: *mut Node<K, V>,
+        key: K,
+        value: V,
+        r: *mut Node<K, V>,
         scratch: &mut WriterScratch<K, V>,
-    ) -> (*mut Node<K, V>, Option<V>) {
-        if n.is_null() {
-            return (n, None);
+    ) -> *mut Node<K, V> {
+        let (sl, sr) = (Self::size_of(l), Self::size_of(r));
+        if sl + sr <= 1 || (sr <= DELTA * sl && sl <= DELTA * sr) {
+            return Self::mk(scratch, l, key, value, r);
         }
-        // Safety: `n` is a valid published node.
-        let node = unsafe { &*n };
-        match key.cmp(&node.key) {
-            Cmp::Equal => {
-                let old = node.value.clone();
-                // Safety: joining the two published child subtrees.
-                let out = unsafe { Self::join(node.left, node.right, scratch) };
-                scratch.replace(n);
-                (out, Some(old))
+        let heavy = if sr > DELTA * sl { r } else { l };
+        // Safety: the heavier side is non-null (its weight exceeds 1).
+        let h = unsafe { &*heavy };
+        let (hk, hv) = (h.key.clone(), h.value.clone());
+        // Safety: each recursion keeps the key order; `balance` restores
+        // the weight bound one spine level at a time.
+        let out = unsafe {
+            if heavy == r {
+                let inner = Self::link(l, key, value, h.left, scratch);
+                Self::balance(inner, hk, hv, h.right, scratch)
+            } else {
+                let inner = Self::link(h.right, key, value, r, scratch);
+                Self::balance(h.left, hk, hv, inner, scratch)
             }
-            Cmp::Less => {
-                // Safety: recursing with the same contract.
-                let (nl, old) = unsafe { Self::remove_rec(node.left, key, scratch) };
-                if old.is_none() {
-                    return (n, None);
-                }
-                // Safety: `nl` owned by this update, `node.right` published.
-                let out = unsafe {
-                    Self::balance(
-                        nl,
-                        node.key.clone(),
-                        node.value.clone(),
-                        node.right,
-                        scratch,
-                    )
-                };
-                scratch.replace(n);
-                (out, old)
-            }
-            Cmp::Greater => {
-                // Safety: recursing with the same contract.
-                let (nr, old) = unsafe { Self::remove_rec(node.right, key, scratch) };
-                if old.is_none() {
-                    return (n, None);
-                }
-                // Safety: as in the `Less` arm, mirrored.
-                let out = unsafe {
-                    Self::balance(node.left, node.key.clone(), node.value.clone(), nr, scratch)
-                };
-                scratch.replace(n);
-                (out, old)
-            }
-        }
+        };
+        // Safety: the heavier root is replaced by `out`, not read again.
+        unsafe { scratch.unlink(heavy) };
+        out
     }
 
-    /// Joins two subtrees whose every key in `l` is less than every key in
-    /// `r`, where the pair was balanced around a now-removed root.
+    /// [`link`](Self::link)'s two-subtree form, around `r`'s minimum.
     ///
     /// # Safety
     ///
-    /// Same contract as [`Self::insert_rec`].
+    /// Same contract as [`Self::link`].
     unsafe fn join(
         l: *mut Node<K, V>,
         r: *mut Node<K, V>,
         scratch: &mut WriterScratch<K, V>,
     ) -> *mut Node<K, V> {
-        if l.is_null() {
-            return r;
+        if l.is_null() || r.is_null() {
+            return if l.is_null() { r } else { l };
         }
-        if r.is_null() {
-            return l;
+        // Safety: forwarded contract; `min` is `r`'s leftmost node, which
+        // the split at its key detaches and `link` replaces.
+        unsafe {
+            let mut min = r;
+            while !(*min).left.is_null() {
+                min = (*min).left;
+            }
+            let (_, min, r) = Self::split(r, &(*min).key, scratch);
+            let (k, v) = ((*min).key.clone(), (*min).value.clone());
+            scratch.unlink(min);
+            Self::link(l, k, v, r, scratch)
         }
-        // Safety: `r` is a valid non-null subtree.
-        let (k, v, r2) = unsafe { Self::extract_min(r, scratch) };
-        // Safety: `l` published, `r2` owned by this update.
-        unsafe { Self::balance(l, k, v, r2, scratch) }
     }
 
-    /// Removes and returns the minimum entry of non-null subtree `n`,
-    /// collecting the replaced path into the scratch.
+    /// Splits subtree `n` at `key` into the keys below it, the node holding
+    /// `key` (the pivot; null if absent), and the keys above it. A side
+    /// the split does not cut comes back as-is, so splitting outside the
+    /// subtree's key range copies nothing. The pivot is left to the caller.
     ///
     /// # Safety
     ///
-    /// `n` must be a valid non-null subtree root; same contract as
-    /// [`Self::insert_rec`].
-    unsafe fn extract_min(
+    /// Same contract as [`Self::link`].
+    #[allow(clippy::type_complexity)]
+    unsafe fn split(
         n: *mut Node<K, V>,
+        key: &K,
         scratch: &mut WriterScratch<K, V>,
-    ) -> (K, V, *mut Node<K, V>) {
-        // Safety: `n` is valid and non-null per the contract.
-        let node = unsafe { &*n };
-        if node.left.is_null() {
-            // `n` is unlinked; its right child is reused.
-            let min = (node.key.clone(), node.value.clone(), node.right);
-            scratch.replace(n);
-            min
-        } else {
-            // Safety: `node.left` is non-null and valid.
-            let (k, v, nl) = unsafe { Self::extract_min(node.left, scratch) };
-            // Safety: `nl` owned by this update, `node.right` published.
-            let out = unsafe {
-                Self::balance(
-                    nl,
-                    node.key.clone(),
-                    node.value.clone(),
-                    node.right,
-                    scratch,
-                )
-            };
-            scratch.replace(n);
-            (k, v, out)
+    ) -> (*mut Node<K, V>, *mut Node<K, V>, *mut Node<K, V>) {
+        // Safety: `n` is null or a valid node per the contract.
+        let Some(node) = (unsafe { n.as_ref() }) else {
+            return (n, n, n);
+        };
+        let null = ptr::null_mut();
+        // Safety: recursing with the same contract; each `link` joins a
+        // split part to `n`'s other child around `n`'s entry, in order.
+        let out = unsafe {
+            match key.cmp(&node.key) {
+                Cmp::Equal => return (node.left, n, node.right),
+                Cmp::Less => {
+                    let (l, pivot, r) = Self::split(node.left, key, scratch);
+                    if r == node.left {
+                        return (null, null, n);
+                    }
+                    let (k, v) = (node.key.clone(), node.value.clone());
+                    (l, pivot, Self::link(r, k, v, node.right, scratch))
+                }
+                Cmp::Greater => {
+                    let (l, pivot, r) = Self::split(node.right, key, scratch);
+                    if l == node.right {
+                        return (n, null, null);
+                    }
+                    let (k, v) = (node.key.clone(), node.value.clone());
+                    (Self::link(node.left, k, v, l, scratch), pivot, r)
+                }
+            }
+        };
+        // Safety: `n` is replaced by the linked side, not read again.
+        unsafe { scratch.unlink(n) };
+        out
+    }
+
+    /// Records every node of subtree `n`, which leaves the tree whole,
+    /// through [`WriterScratch::unlink`]: an O(size) walk on an unshared
+    /// tree, nothing on a shared one (the release cascade finds the
+    /// published nodes, the commit frees the fresh ones).
+    ///
+    /// # Safety
+    ///
+    /// `n` is null or a valid subtree linked nowhere in the new version.
+    unsafe fn unlink_subtree(n: *mut Node<K, V>, scratch: &mut WriterScratch<K, V>) {
+        if n.is_null() || !scratch.exclusive {
+            return;
+        }
+        // Safety: `n` is valid; its children are read before it goes.
+        unsafe {
+            let (l, r) = ((*n).left, (*n).right);
+            Self::unlink_subtree(l, scratch);
+            Self::unlink_subtree(r, scratch);
+            scratch.unlink(n);
         }
     }
 
@@ -2085,7 +2166,7 @@ mod tests {
         const OPS: u64 = if cfg!(miri) { 300 } else { 6000 };
         for i in 0..OPS {
             // Sequential runs force rotations; random keys mix in replaces
-            // and removes of inner nodes (the `join`/`extract_min` path).
+            // and removes of inner nodes (the `join` path).
             let k = if i % 3 == 0 { i / 3 } else { rng.next() % 512 };
             if rng.next().is_multiple_of(3) {
                 assert_eq!(listed.remove(&k), cascaded.remove(&k), "op {i}");
@@ -2111,6 +2192,212 @@ mod tests {
             let s = c.stats();
             assert_eq!(s.objects_retired, s.objects_freed);
         }
+    }
+
+    /// Cuts `lo..=hi` out of `t` as one update, putting `first` back at
+    /// `lo` and inserting `last`; returns the keys cut.
+    fn cut(
+        t: &BonsaiTree<u64, u64>,
+        lo: u64,
+        hi: u64,
+        first: Option<u64>,
+        last: Option<(u64, u64)>,
+    ) -> usize {
+        with_write_session(
+            t,
+            || t.writer.lock().unwrap(),
+            |sess, w| {
+                t.cut_span_with(sess, w, |_| {
+                    Some(Cut {
+                        lo,
+                        hi,
+                        first,
+                        last,
+                    })
+                })
+            },
+        )
+    }
+
+    /// [`cut`] applied to a `BTreeMap`.
+    fn model_cut(
+        m: &mut BTreeMap<u64, u64>,
+        lo: u64,
+        hi: u64,
+        first: Option<u64>,
+        last: Option<(u64, u64)>,
+    ) -> usize {
+        let gone: Vec<u64> = m.range(lo..=hi).map(|(&k, _)| k).collect();
+        for k in &gone {
+            m.remove(k);
+        }
+        m.extend(first.map(|v| (lo, v)).into_iter().chain(last));
+        gone.len()
+    }
+
+    /// A random cut against `model`: a span of up to `width` keys' worth
+    /// of key space, with a `first` and a `last` entry now and then (`last`
+    /// only where its key has room before the next key).
+    #[allow(clippy::type_complexity)]
+    fn random_cut(
+        rng: &mut Rng,
+        model: &BTreeMap<u64, u64>,
+        space: u64,
+        width: u64,
+    ) -> (u64, u64, Option<u64>, Option<(u64, u64)>) {
+        let lo = rng.next() % space;
+        let hi = lo + rng.next() % width;
+        let first = rng.next().is_multiple_of(2).then(|| rng.next());
+        let last = (rng.next().is_multiple_of(2) && !model.contains_key(&(hi + 1)))
+            .then(|| (hi + 1, rng.next()));
+        (lo, hi, first, last)
+    }
+
+    /// Span cuts — split at both edges, link around the kept entries —
+    /// diffed against a `BTreeMap` on trees of 0 to 2,000 keys, with the
+    /// order, size and weight-balance invariants checked after every cut.
+    /// Each cut also runs on a twin that forked once while empty: the
+    /// nodes an unshared cut lists as replaced (a dropped middle part
+    /// included) must be exactly those the twin's release cascade finds,
+    /// and both reclaim everything at the end.
+    #[test]
+    fn span_cuts_match_btreemap() {
+        let (c_list, c_cascade) = (Collector::new(), Collector::new());
+        let mut rng = Rng(0x5_11CE);
+        for n in [0u64, 1, 2, 3, 7, 64, 500, 2000] {
+            let listed: BonsaiTree<u64, u64> = BonsaiTree::new(c_list.clone());
+            let cascaded: BonsaiTree<u64, u64> = BonsaiTree::new(c_cascade.clone());
+            drop(cascaded.fork());
+            let twins = [&listed, &cascaded];
+            let mut model = BTreeMap::new();
+            let insert = |model: &mut BTreeMap<u64, u64>, k| {
+                let old = model.insert(k, k);
+                for t in twins {
+                    assert_eq!(t.insert(k, k), old);
+                }
+            };
+            for _ in 0..n {
+                insert(&mut model, 4 * (rng.next() % (2 * n)));
+            }
+            let space = 8 * n + 8;
+            for i in 0..60 {
+                let width = [2, 16, space][i % 3];
+                let (lo, hi, first, last) = random_cut(&mut rng, &model, space, width);
+                let gone = model_cut(&mut model, lo, hi, first, last);
+                for t in twins {
+                    assert_eq!(
+                        cut(t, lo, hi, first, last),
+                        gone,
+                        "n={n} cut {i}: {lo}..={hi}"
+                    );
+                    t.check_invariants();
+                    assert_eq!(t.to_vec(), model.clone().into_iter().collect::<Vec<_>>());
+                }
+                assert_eq!(
+                    c_list.stats().objects_retired,
+                    c_cascade.stats().objects_retired,
+                    "n={n} cut {i}: the replaced list and the release cascade disagree"
+                );
+                for _ in 0..rng.next() % 8 {
+                    insert(&mut model, 4 * (rng.next() % (2 * n + 2)));
+                }
+            }
+        }
+        for c in [c_list, c_cascade] {
+            c.synchronize();
+            let s = c.stats();
+            assert_eq!(s.objects_retired, s.objects_freed);
+        }
+    }
+
+    /// Splits `t` at `key` and links the two sides back around `key` as one
+    /// update; returns the sides' weights.
+    fn split_and_link(t: &BonsaiTree<u64, u64>, key: u64) -> (usize, usize) {
+        with_write_session(
+            t,
+            || t.writer.lock().unwrap(),
+            |sess, w| {
+                t.publish(sess, w, |root, s| {
+                    // Safety: the session protects the published `root`; the
+                    // pivot is replaced by the linked node.
+                    unsafe {
+                        let (l, pivot, r) = BonsaiTree::split(root, &key, s);
+                        if !pivot.is_null() {
+                            s.unlink(pivot);
+                        }
+                        let sides = (BonsaiTree::size_of(l), BonsaiTree::size_of(r));
+                        let out = BonsaiTree::link(l, key, key, r, s);
+                        let delta =
+                            BonsaiTree::size_of(out) as isize - BonsaiTree::size_of(root) as isize;
+                        Ok((out, delta, sides))
+                    }
+                })
+            },
+        )
+    }
+
+    /// `link` balances whatever the weights of its sides: empty against
+    /// 2,000 keys, one against 10,000, and equal, each way round.
+    #[test]
+    fn link_balances_any_weights() {
+        for (keys, at, sides) in [
+            (1..=2000u64, 0, (0, 2000)),
+            (0..=1999, 2000, (2000, 0)),
+            (0..=10_001, 1, (1, 10_000)),
+            (0..=10_001, 10_000, (10_000, 1)),
+            (0..=4000, 2000, (2000, 2000)),
+        ] {
+            let t: BonsaiTree<u64, u64> = BonsaiTree::new(Collector::new());
+            let mut model = BTreeMap::new();
+            for k in keys {
+                t.insert(k, k);
+                model.insert(k, k);
+            }
+            assert_eq!(split_and_link(&t, at), sides);
+            model.insert(at, at);
+            t.check_invariants();
+            assert_eq!(t.to_vec(), model.into_iter().collect::<Vec<_>>());
+        }
+    }
+
+    /// Cuts on both lineages of a fork, and on a grandchild forked midway:
+    /// the reference counts match the in-degrees after every cut, each
+    /// lineage matches its own model, and teardown reclaims every node.
+    #[test]
+    fn span_cuts_on_forked_lineages_keep_counts_exact() {
+        let collector = Collector::new();
+        let root: BonsaiTree<u64, u64> = BonsaiTree::new(collector.clone());
+        let mut base = BTreeMap::new();
+        for k in 0..500u64 {
+            root.insert(4 * k, k);
+            base.insert(4 * k, k);
+        }
+        let mut lineages = vec![(root.fork(), base.clone()), (root, base)];
+        let mut rng = Rng(0xF0_4CED);
+        for i in 0..120 {
+            if i == 60 {
+                let grandchild = (lineages[0].0.fork(), lineages[0].1.clone());
+                lineages.push(grandchild);
+            }
+            let which = i % lineages.len();
+            let (t, model) = &mut lineages[which];
+            let (lo, hi, first, last) = random_cut(&mut rng, model, 2000, [4, 64, 400][i % 3]);
+            assert_eq!(
+                cut(t, lo, hi, first, last),
+                model_cut(model, lo, hi, first, last),
+                "cut {i}: {lo}..={hi}"
+            );
+            let family: Vec<_> = lineages.iter().map(|(t, _)| t).collect();
+            BonsaiTree::check_family_invariants(&family);
+            for (t, model) in &lineages {
+                t.check_invariants();
+                assert_eq!(t.to_vec(), model.clone().into_iter().collect::<Vec<_>>());
+            }
+        }
+        drop(lineages);
+        collector.synchronize();
+        let s = collector.stats();
+        assert_eq!(s.objects_retired, s.objects_freed);
     }
 
     #[test]

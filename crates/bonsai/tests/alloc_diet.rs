@@ -108,8 +108,8 @@ const PAGE: u64 = 0x1000;
 const SLOTS: u64 = 128;
 
 /// One churn pass over every slot: unmap it if mapped, else map 2 pages —
-/// plus a periodic multi-region `unmap_range` exercising the composite
-/// path (discovery buffer, truncation re-inserts).
+/// plus a periodic `unmap_range` exercising the span-cut rebuild (its two
+/// discovery probes, splits and links).
 fn churn(m: &RangeMap<u64>, rounds: usize) {
     for round in 0..rounds {
         for slot in 0..SLOTS {

@@ -6,15 +6,14 @@
 //! failpoint registry (`rcukit::faults`) with a fixed seed, runs a
 //! deterministic single-threaded workload in which any write may panic at
 //! an injected protocol edge (arena allocation, forced CAS failure,
-//! pre-publish / post-CAS panic, mid-discovery panic), catches every
-//! unwind, and asserts the panic-atomicity contract after each one:
+//! pre-publish / post-CAS panic), catches every unwind, and asserts the
+//! panic-atomicity contract after each one:
 //!
-//! * a panicked tree update left the tree in exactly its pre-op or
-//!   post-op state — never torn, never violating the tree invariants;
+//! * a panicked tree update or map operation (`unmap_range` included)
+//!   left its structure in exactly the pre-op or post-op state — never
+//!   torn, never violating the tree invariants;
 //! * a panicked map operation leaked no range lock and lent the next
 //!   writer a clean scratch (the next operation simply proceeds);
-//! * a panicked `unmap_range` never lost coverage of bytes outside the
-//!   requested span, and retrying the call converges to the full unmap;
 //! * after teardown the backend drains to `retired == freed`, objects
 //!   and bytes — no leak, no double free, on both backends.
 //!
@@ -276,26 +275,16 @@ fn model_unmap_range(model: &mut MapModel, start: u64, end: u64) -> usize {
     affected
 }
 
-/// Coverage outside `[start, end)` as a page → value mapping — the thing
-/// a panicked `unmap_range` must never change. A mapping (not an interval
-/// list) because the documented panic contract allows a transiently
-/// duplicated tail piece: the same outside bytes covered by two regions,
-/// which must then agree on the value. All chaos boundaries are
-/// page-aligned, so page granularity is exact.
-fn outside_coverage(contents: &[(u64, u64, u64)], start: u64, end: u64) -> BTreeMap<u64, u64> {
-    let mut out = BTreeMap::new();
-    for &(s, e, v) in contents {
-        let mut page = s;
-        while page < e {
-            if page < start || page >= end {
-                if let Some(prev) = out.insert(page, v) {
-                    assert_eq!(prev, v, "duplicated coverage of page {page:#x} disagrees");
-                }
-            }
-            page += PAGE;
-        }
+/// Panic atomicity after an injected panic in a map operation: the map
+/// holds exactly the pre-op state `model` or the post-op state `post`, and
+/// `model` moves to whichever it is.
+fn settle(map: &RangeMap<u64>, model: &mut MapModel, post: MapModel, torn: &str) {
+    let contents = map.to_vec();
+    if contents == map_model_vec(&post) {
+        *model = post;
+    } else {
+        assert_eq!(contents, map_model_vec(model), "{torn}");
     }
-    out
 }
 
 fn run_map_chaos(backend: ReclaimBackend, seed: u64, steps: u64, per_mille: u32) {
@@ -348,16 +337,7 @@ fn run_map_chaos(backend: ReclaimBackend, seed: u64, steps: u64, per_mille: u32)
                         if expect {
                             post.insert(start, (end, val));
                         }
-                        let contents = map.to_vec();
-                        if contents == map_model_vec(&post) {
-                            *model = post;
-                        } else {
-                            assert_eq!(
-                                contents,
-                                map_model_vec(model),
-                                "{kind} step {step}: injected panic tore map()"
-                            );
-                        }
+                        settle(map, model, post, &format!("{kind} step {step}: tore map()"));
                     }
                 }
             }
@@ -375,23 +355,17 @@ fn run_map_chaos(backend: ReclaimBackend, seed: u64, steps: u64, per_mille: u32)
                         injected += 1;
                         let mut post = model.clone();
                         post.remove(&start);
-                        let contents = map.to_vec();
-                        if contents == map_model_vec(&post) {
-                            *model = post;
-                        } else {
-                            assert_eq!(
-                                contents,
-                                map_model_vec(model),
-                                "{kind} step {step}: injected panic tore unmap()"
-                            );
-                        }
+                        settle(
+                            map,
+                            model,
+                            post,
+                            &format!("{kind} step {step}: tore unmap()"),
+                        );
                     }
                 }
             }
             2 => {
-                // unmap_range() — composite: a panic may leave it
-                // partially applied, but never lose coverage outside the
-                // span, and a retry must converge.
+                // unmap_range() — one publication, so as atomic as map().
                 let end = start + (1 + rng.next() % 8) * PAGE;
                 match catch_unwind(AssertUnwindSafe(|| map.unmap_range(start, end))) {
                     Ok(n) => {
@@ -400,39 +374,11 @@ fn run_map_chaos(backend: ReclaimBackend, seed: u64, steps: u64, per_mille: u32)
                     }
                     Err(_) => {
                         injected += 1;
-                        let outside = outside_coverage(&map_model_vec(model), start, end);
-                        let now = outside_coverage(&map.to_vec(), start, end);
-                        assert_eq!(
-                            now,
-                            outside,
-                            "{kind} step {step}: panicked unmap_range({start:#x}, {end:#x}) \
-                             disturbed coverage outside the span; map={:?} model={:?}",
-                            map.to_vec(),
-                            map_model_vec(model),
-                        );
-                        // Crash-recovery contract: retrying completes the
-                        // unmap (bounded retries — consecutive injected
-                        // failures are vanishingly unlikely at this rate).
-                        let mut done = false;
-                        for _ in 0..64 {
-                            if catch_unwind(AssertUnwindSafe(|| map.unmap_range(start, end)))
-                                .is_ok()
-                            {
-                                done = true;
-                                break;
-                            }
-                            injected += 1;
-                        }
-                        assert!(
-                            done,
-                            "{kind} step {step}: unmap_range retry never converged"
-                        );
-                        model_unmap_range(model, start, end);
-                        assert_eq!(
-                            map.to_vec(),
-                            map_model_vec(model),
-                            "{kind} step {step}: unmap_range retry did not converge to the model"
-                        );
+                        let mut post = model.clone();
+                        model_unmap_range(&mut post, start, end);
+                        let torn =
+                            format!("{kind} step {step}: tore unmap_range({start:#x}, {end:#x})");
+                        settle(map, model, post, &torn);
                     }
                 }
             }
@@ -502,11 +448,11 @@ fn range_map_chaos_is_panic_atomic_on_every_backend() {
     }
 }
 
-/// The PR 5 hole, pinned by a failpoint instead of a hand-built scenario:
-/// an allocation-failure panic injected mid-`unmap_range` (first leg:
-/// mid-discovery, before any mutation; second leg: mid-mutation, between
-/// the composite's commits) must leave no torn state the documented
-/// contract does not allow, leak no range lock, and retry to completion.
+/// A fault injected anywhere in a span unmap — at each arena allocation
+/// it makes, or just before its commit — leaves the map byte-identical to
+/// before, with no range lock held; one just after the commit leaves it
+/// byte-identical to after. The span is one publication, so there is no
+/// state in between to leave.
 #[test]
 fn unmap_range_survives_injected_failures_mid_flight() {
     let _s = serial();
@@ -527,61 +473,38 @@ fn unmap_range_survives_injected_failures_mid_flight() {
         (0x4000, 0x5000, 3),
         (0x6000, 0x9000, 4),
     ];
-    let after_unmap: Vec<(u64, u64, u64)> = vec![(0x1000, 0x2000, 1), (0x7000, 0x9000, 4)];
+    let after: Vec<(u64, u64, u64)> = vec![(0x1000, 0x2000, 1), (0x7000, 0x9000, 4)];
 
-    // Leg 1: panic mid-discovery (second inside region), before any
-    // mutation — the map must come out byte-identical.
-    let m = build();
-    faults::arm_schedule(&[(faults::site::UNMAP_DISCOVERY, 1)]);
-    let err = catch_unwind(AssertUnwindSafe(|| m.unmap_range(0x2000, 0x7000)));
-    assert!(err.is_err(), "scheduled discovery fault did not fire");
-    faults::disarm();
-    assert_eq!(m.to_vec(), full, "mid-discovery panic mutated the map");
-    assert_eq!(
-        m.held_range_locks(),
-        0,
-        "mid-discovery panic leaked a range lock"
-    );
-    assert_eq!(
-        m.unmap_range(0x2000, 0x7000),
-        4,
-        "retry after discovery panic"
-    );
-    assert_eq!(m.to_vec(), after_unmap);
-
-    // Leg 2: allocation failure mid-mutation. First measure how many
-    // arena allocations the identical unmap makes (armed at probability
-    // zero — hits are counted, nothing fires), then inject halfway.
+    // Count the arena allocations the unmap makes (armed at probability
+    // zero: hits are counted, nothing fires).
     let m = build();
     faults::arm(0, 0);
     assert_eq!(m.unmap_range(0x2000, 0x7000), 4);
     let allocs = faults::hits(faults::site::ARENA_ALLOC);
-    assert!(allocs >= 2, "unmap_range made too few allocations to split");
     faults::disarm();
+    assert!(allocs >= 2, "unmap_range made {allocs} allocations");
 
-    let m = build();
-    faults::arm_schedule(&[(faults::site::ARENA_ALLOC, allocs / 2)]);
-    let err = catch_unwind(AssertUnwindSafe(|| m.unmap_range(0x2000, 0x7000)));
-    assert!(
-        err.is_err(),
-        "scheduled mid-mutation alloc fault did not fire"
-    );
-    faults::disarm();
-    assert_eq!(
-        m.held_range_locks(),
-        0,
-        "mid-mutation panic leaked a range lock"
-    );
-    // The composite may be partially applied, but coverage outside the
-    // span is untouched...
-    assert_eq!(
-        outside_coverage(&m.to_vec(), 0x2000, 0x7000),
-        outside_coverage(&full, 0x2000, 0x7000),
-        "mid-mutation panic disturbed coverage outside the span"
-    );
-    // ...and the retry completes the unmap.
-    m.unmap_range(0x2000, 0x7000);
-    assert_eq!(m.to_vec(), after_unmap, "retry did not converge");
+    let faulted = (0..allocs)
+        .map(|hit| (faults::site::ARENA_ALLOC, hit, &full))
+        .chain([
+            (faults::site::TREE_PRE_PUBLISH, 0, &full),
+            (faults::site::TREE_POST_CAS, 0, &after),
+        ]);
+    for (site, hit, want) in faulted {
+        let m = build();
+        faults::arm_schedule(&[(site, hit)]);
+        let err = catch_unwind(AssertUnwindSafe(|| m.unmap_range(0x2000, 0x7000)));
+        faults::disarm();
+        assert!(err.is_err(), "{site}@{hit} did not fire");
+        assert_eq!(&m.to_vec(), want, "{site}@{hit} left the map torn");
+        assert_eq!(m.held_range_locks(), 0, "{site}@{hit} leaked a range lock");
+        // The scratch went back clean: the retry completes the unmap and
+        // every arena block is accounted for.
+        m.unmap_range(0x2000, 0x7000);
+        assert_eq!(m.to_vec(), after, "{site}@{hit}: retry");
+        m.collector().synchronize();
+        RangeMap::check_family_invariants(&[&m]);
+    }
 }
 
 /// Regression: an unwinding remove whose *first* allocation fails leaves

@@ -23,7 +23,9 @@
 //! operations *before* its first fork, and the family is audited on both
 //! sides of it — every reachable node's count equals its in-degree over
 //! the family's live roots, and the arena family's block ledger balances
-//! against the nodes those roots reach.
+//! against the nodes those roots reach. The range-map run audits its
+//! family that way every 64 steps, its span unmaps cutting across
+//! subtrees the lineages share.
 //!
 //! Everything runs on both reclamation backends.
 
@@ -231,9 +233,33 @@ impl MapLineage {
         self.model.range(start..end).next().is_some()
     }
 
+    /// `unmap_range` on the model, with `chaos::model_unmap_range`'s
+    /// semantics: returns the regions removed or truncated.
+    fn model_unmap_range(&mut self, start: u64, end: u64) -> usize {
+        let mut affected = 0;
+        if let Some((&s, &(e, v))) = self.model.range(..start).next_back() {
+            if e > start {
+                self.model.insert(s, (start, v));
+                if e > end {
+                    self.model.insert(end, (e, v));
+                }
+                affected += 1;
+            }
+        }
+        let inside: Vec<u64> = self.model.range(start..end).map(|(&s, _)| s).collect();
+        for s in inside {
+            let (e, v) = self.model.remove(&s).expect("inside key vanished");
+            if e > end {
+                self.model.insert(end, (e, v));
+            }
+            affected += 1;
+        }
+        affected
+    }
+
     fn mutate(&mut self, rng: &mut Rng) {
         let start = (rng.next() % PAGES) * PAGE;
-        match rng.next() % 3 {
+        match rng.next() % 4 {
             0 => {
                 let pages = 1 + rng.next() % 4;
                 let end = start + pages * PAGE;
@@ -254,6 +280,16 @@ impl MapLineage {
                     self.map.unmap(start),
                     self.model.remove(&start).map(|(_, v)| v),
                     "lineage {}: unmap({start:#x}) diverged",
+                    self.id
+                );
+            }
+            2 => {
+                // A span cut, often over subtrees another lineage shares.
+                let end = start + (1 + rng.next() % 8) * PAGE;
+                assert_eq!(
+                    self.map.unmap_range(start, end),
+                    self.model_unmap_range(start, end),
+                    "lineage {}: unmap_range({start:#x}, {end:#x}) diverged",
                     self.id
                 );
             }
@@ -323,14 +359,10 @@ fn run_map_diff(backend: ReclaimBackend, seed: u64, steps: u64) {
             lineages[li].mutate(&mut rng);
         }
         if step % 64 == 0 {
-            for l in &lineages {
-                l.check_full();
-            }
+            audit_family(&backend, &lineages.iter().collect::<Vec<_>>());
         }
     }
-    for l in &lineages {
-        l.check_full();
-    }
+    audit_family(&backend, &lineages.iter().collect::<Vec<_>>());
 
     while !lineages.is_empty() {
         let li = (rng.next() as usize) % lineages.len();

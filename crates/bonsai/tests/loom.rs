@@ -91,6 +91,51 @@ fn loom_shared_subtree_retire() {
     assert!(runs > 500, "exploration degenerated to {runs} schedule(s)");
 }
 
+#[test]
+fn loom_reader_vs_unmap_range() {
+    let runs = loomette::Explorer::default()
+        .explore(|| scenarios::reader_vs_unmap_range(scenarios::ONE_SPAN));
+    eprintln!("reader_vs_unmap_range: {runs} schedules");
+    assert!(runs > 500, "exploration degenerated to {runs} schedule(s)");
+}
+
+/// Meta-test: the model tier must be able to *see* a torn span unmap. The
+/// same unmap split into two `unmap_range` calls shows the reader the state
+/// between them, and every model must report it.
+#[test]
+fn loom_finds_torn_span_when_the_unmap_is_two_calls() {
+    for mem_model in [
+        loomette::MemModel::Sc,
+        loomette::MemModel::Tso,
+        loomette::MemModel::AcqRel,
+    ] {
+        let caught = std::panic::catch_unwind(|| {
+            loomette::Explorer {
+                preemption_bound: loomette::DEFAULT_PREEMPTION_BOUND,
+                max_runs: loomette::DEFAULT_MAX_RUNS,
+                mem_model,
+                replay: None,
+            }
+            .explore(|| scenarios::reader_vs_unmap_range(scenarios::TWO_SPANS))
+        });
+        let msg = match caught {
+            Ok(runs) => panic!(
+                "{} exploration missed the torn two-call unmap in {runs} schedules",
+                mem_model.name()
+            ),
+            Err(e) => e
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_else(|| "non-string panic".into()),
+        };
+        assert!(
+            msg.contains("torn span unmap"),
+            "{} leg failed for another reason than the torn span: {msg}",
+            mem_model.name()
+        );
+    }
+}
+
 /// The range-lock release's gated wake, distilled to its three words — a
 /// stripe mutex over "the span is held", the stripe's condvar, and the
 /// `waiting` count — with the count read either where `RangeWriteGuard`'s

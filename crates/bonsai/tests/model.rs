@@ -79,3 +79,10 @@ fn stress_shared_subtree_retire() {
         scenarios::shared_subtree_retire();
     }
 }
+
+#[test]
+fn stress_reader_vs_unmap_range() {
+    for _ in 0..ITERS {
+        scenarios::reader_vs_unmap_range(scenarios::ONE_SPAN);
+    }
+}

@@ -626,3 +626,69 @@ pub fn overlapping_writers() {
     let s = c.stats();
     assert_eq!(s.objects_retired, s.objects_freed);
 }
+
+/// The span unmap [`reader_vs_unmap_range`] runs as one call.
+pub const ONE_SPAN: &[(u64, u64)] = &[(0x2000, 0x6000)];
+/// The same unmap as two calls: the reader can see the state between them.
+#[cfg(loom)]
+pub const TWO_SPANS: &[(u64, u64)] = &[(0x2000, 0x4000), (0x4000, 0x6000)];
+
+/// A reader against a span unmap: the writer unmaps `[0x2000, 0x6000)`
+/// across a head straddler, an inside region and a tail straddler, as the
+/// calls in `spans`, while the reader probes one byte of each affected
+/// piece in address order under one pin. [`ONE_SPAN`] is one publication,
+/// so once the reader has seen a piece unmapped it never sees a later
+/// piece still mapped, in any schedule. [`TWO_SPANS`] shows the reader the
+/// state between its two calls, which the reader reports as a torn span —
+/// the check can see one (the meta-test in `tests/loom.rs`).
+pub fn reader_vs_unmap_range(spans: &'static [(u64, u64)]) {
+    let c = Collector::with_shards(1);
+    let map: Arc<RangeMap<usize>> = Arc::new(RangeMap::new(c.clone()));
+    for (start, end, v) in [
+        (0x1000, 0x3000, 1),
+        (0x3000, 0x4000, 2),
+        (0x5000, 0x8000, 3),
+    ] {
+        assert!(map.map(start, end, v));
+    }
+
+    let writer = {
+        let map = Arc::clone(&map);
+        spawn(move || {
+            let affected: usize = spans.iter().map(|&(s, e)| map.unmap_range(s, e)).sum();
+            assert_eq!(affected, 3, "the span unmap missed a region");
+        })
+    };
+    let reader = {
+        let map = Arc::clone(&map);
+        spawn(move || {
+            let g = map.pin();
+            let mut unmapped = None;
+            for (piece, (addr, v)) in [(0x2800, 1), (0x3800, 2), (0x5800, 3)]
+                .into_iter()
+                .enumerate()
+            {
+                match (map.lookup(addr, &g), unmapped) {
+                    (None, None) => unmapped = Some(piece),
+                    (None, Some(_)) => {}
+                    (Some(&got), None) => assert_eq!(got, v, "reader saw a foreign payload"),
+                    (Some(_), Some(first)) => {
+                        panic!(
+                            "torn span unmap: piece {first} unmapped, piece {piece} still mapped"
+                        )
+                    }
+                }
+            }
+        })
+    };
+    writer.join().unwrap();
+    reader.join().unwrap();
+
+    assert_eq!(map.to_vec(), vec![(0x1000, 0x2000, 1), (0x6000, 0x8000, 3)]);
+    drop(map);
+    for _ in 0..4 {
+        c.collect();
+    }
+    let s = c.stats();
+    assert_eq!(s.objects_retired, s.objects_freed);
+}

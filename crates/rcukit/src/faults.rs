@@ -49,9 +49,9 @@ pub mod site {
     /// (`bonsai::Arena::alloc`): fires as a panic, modelling allocation
     /// failure mid-update.
     pub const ARENA_ALLOC: &str = "arena.alloc";
-    /// Forced root-CAS failure in `BonsaiTree::{insert,remove}_with`: the
-    /// attempt takes the contention path (discard + rebuild) even though
-    /// no concurrent writer exists.
+    /// Forced root-CAS failure in the commit loop behind every `BonsaiTree`
+    /// update: the attempt takes the contention path (discard + rebuild)
+    /// even though no concurrent writer exists.
     pub const TREE_CAS: &str = "tree.cas";
     /// Panic immediately before the commit CAS, after the speculative
     /// path is fully built (nothing published yet).
@@ -65,9 +65,6 @@ pub mod site {
     pub const DEFERRED_CALLBACK: &str = "deferred.callback";
     /// Reader-side stall: a bounded busy-wait inside read protection.
     pub const READER_STALL: &str = "reader.stall";
-    /// Panic mid-discovery in `RangeMap::unmap_range`, before any
-    /// mutation of the map.
-    pub const UNMAP_DISCOVERY: &str = "range_map.discovery";
 }
 
 /// Decision probe: whether the armed plan fires `site` at this hit.
