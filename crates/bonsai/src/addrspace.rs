@@ -20,8 +20,8 @@ use crate::range_map::RangeMap;
 ///
 /// Implementations must be shareable across threads; the benchmark drives
 /// one instance from many faulting **and mutating** threads concurrently —
-/// since the range-locked writer rework, disjoint-span mutations on the
-/// [`RangeMap`] backend genuinely run in parallel.
+/// mutations on the [`RangeMap`] backend genuinely run in parallel, with
+/// the root CAS alone ordering them.
 ///
 /// Region semantics follow [`RangeMap`]: ranges are half-open
 /// `[start, end)`, `map` refuses overlaps, `unmap` removes the region

@@ -7,51 +7,58 @@
 //! *blocks* carved from chunks it owns:
 //!
 //! * **alloc** pops the writer's *private stack* with plain loads and
-//!   stores. When that runs dry the writer takes the arena's whole
-//!   *shared list* with one `swap`, else a chunk's worth of the family
-//!   shelf under one lock, and carves a new chunk only while the arena is
-//!   still warming up;
+//!   stores, then the *ready* blocks of a parked batch it took. When both
+//!   run dry the writer takes the next *parked* batch under one lock, else
+//!   the arena's linked *shared list* with one `swap`, else a chunk's worth
+//!   of the family shelf under one lock, and carves a new chunk only while
+//!   the arena is still warming up;
 //! * **recycle** happens through the collector: a committed update adds
 //!   its replaced nodes to its scratch's pending list, which ships as one
 //!   [`RecycleBatch`] via [`Guard::defer_recycle`](rcukit::Guard) once it
 //!   holds a chunk's worth ([`CHUNK_BLOCKS`]), and after the grace period
-//!   the arena (as the batch's [`Recycler`]) drops each payload in place,
-//!   links the blocks into a chain and publishes the chain on the shared
-//!   list with one CAS — a node returns to an arena only after its grace
-//!   period;
+//!   the arena (as the batch's [`Recycler`]) drops the payloads in place —
+//!   if `T` has drop glue at all — and *parks* the batch's pointer vector
+//!   on the arena as it is. A node returns to an arena only after its
+//!   grace period, and the reclaiming thread, which may run on another
+//!   core, writes nothing into a block whose payload needs no drop: the
+//!   owner's next allocations find those lines where they left them;
 //! * the **batch buffers** themselves are pooled here too, so the retire
-//!   step is also allocation-free once warm.
-//!
+//!   step is also allocation-free once warm: a buffer cycles pending →
+//!   parked → pool → pending.
+
 //! # Ownership and lifetime
 //!
 //! One arena lives in each [`WriterScratch`](crate::tree::WriterScratch) —
-//! the tree's mutex-owned scratch and every scratch pooled by a
-//! [`RangeLocks`](crate::range_lock::RangeLocks) table — so allocation
-//! needs no sharing: exactly one writer holds a given scratch (and its
-//! arena) at a time, which is what makes the private stack private and
-//! the take-everything `swap` a sound single consumer.
+//! the tree's mutex-owned scratch and the scratch of every `RangeMap`
+//! writer slot — so allocation needs no sharing: exactly one writer holds
+//! a given scratch (and its arena) at a time, which is what makes the
+//! private stack and the ready blocks private and the take-everything
+//! `swap` a sound single consumer.
 //!
 //! Blocks may migrate between sibling arenas: a writer holding scratch A
 //! can retire nodes that were allocated from scratch B's arena, and they
-//! recycle into A's shared list. Chunk *storage* is therefore deliberately
-//! not per-arena: every arena of one family (one `RangeMap` and all its
-//! forks, or a standalone tree's lineage) shares one [`ChunkStore`], and
-//! every arena — plus, transitively, **every in-flight deferred batch**,
+//! recycle into A (parked, or on A's shared list). Chunk *storage* is
+//! therefore deliberately not per-arena: every arena of one family (one
+//! `RangeMap` and all its forks, or a standalone tree's lineage) shares
+//! one [`ChunkStore`], and every arena — plus, transitively, **every in-flight deferred batch**,
 //! which holds an `Arc` to its recycling arena — pins the store. So a
 //! block's backing chunk stays allocated as long as *any* family arena or
 //! *any* pending batch exists, wherever the block was allocated and
 //! whichever list it rests on.
 //!
-//! Migration is additionally *capped*: an arena's shared list stops
-//! accepting chains once its gauge reads [`FREE_CAP`]; the excess lands on
-//! the family store's shelf, which any sibling's `alloc` draws from before
-//! growing a chunk. This bounds the pathological churn pattern where one
-//! scratch does all the retiring (concentrating every free block on lists
-//! only its own writer can pop) while the allocating siblings grow the
-//! family's chunk count without limit. And an arena's blocks do not die
-//! with it: when the last handle *and* the last pending batch are gone,
-//! [`ArenaShared`]'s drop moves both of its lists to the shelf, so a
-//! family's footprint follows its live lineages, not the forks ever made.
+//! Migration is additionally *capped*: an arena stops parking batches (and
+//! its shared list stops accepting chains) once the gauge reads
+//! [`FREE_CAP`]; the excess is linked and lands on the family store's
+//! shelf, which any sibling's `alloc` draws from before growing a chunk.
+//! This bounds the pathological churn pattern where one scratch does all
+//! the retiring (concentrating every free block on lists only its own
+//! writer can pop) while the allocating siblings grow the family's chunk
+//! count without limit. And an arena's blocks do not die
+//! with it: a dropped handle links its ready blocks onto the shelf, and
+//! when the last handle *and* the last pending batch are gone,
+//! [`ArenaShared`]'s drop moves its lists and parked batches there too, so
+//! a family's footprint follows its live lineages, not the forks ever
+//! made.
 
 use std::mem::ManuallyDrop;
 use std::ptr;
@@ -69,21 +76,22 @@ use crate::sync::Mutex;
 /// `WriterScratch::commit`). Amortizes the chunk allocation to 1/64th of a
 /// warming-up update's allocations; steady state allocates no chunks. The
 /// model tier uses tiny chunks, so that a scenario's handful of updates
-/// runs the private stack dry, reaches the take-everything `swap` and the
-/// shelf, and ships retire batches mid-exploration.
+/// runs the private stack dry, reaches the parked batches and the shelf,
+/// and ships retire batches mid-exploration.
 pub(crate) const CHUNK_BLOCKS: usize = if cfg!(loom) { 4 } else { 64 };
 
 /// Cap on pooled batch buffers (one is in use per in-flight retirement; a
 /// single writer rarely has more than a handful pending).
 const BATCH_POOL_MAX: usize = 32;
 
-/// Cap on one arena's shared list, as read from its gauge
-/// ([`ArenaShared::free_len`]). Chains recycled past the cap are diverted
-/// to the family [`ChunkStore`]'s shelf, where *any* sibling's `alloc` can
-/// take them. Without the cap, pathological churn (one scratch doing all
-/// the retiring while others do the allocating) concentrates every free
-/// block on one arena's lists — lists only its own writer can pop — and
-/// the allocating siblings grow fresh chunks without bound even though the
+/// Cap on one arena's parked blocks and on its shared list, each as read
+/// from its gauge ([`ArenaShared::parked_len`], [`ArenaShared::free_len`]).
+/// Batches and chains recycled past the cap are diverted to the family
+/// [`ChunkStore`]'s shelf, where *any* sibling's `alloc` can take them.
+/// Without the cap, pathological churn (one scratch doing all the
+/// retiring while others do the allocating) concentrates every free block
+/// on one arena's lists — lists only its own writer can pop — and the
+/// allocating siblings grow fresh chunks without bound even though the
 /// family is swimming in free blocks.
 const FREE_CAP: usize = 2 * CHUNK_BLOCKS;
 
@@ -97,6 +105,22 @@ const FREE_CAP: usize = 2 * CHUNK_BLOCKS;
 union Block<T> {
     value: ManuallyDrop<T>,
     next: *mut Block<T>,
+}
+
+/// Links `blocks` into a null-terminated list and returns its head (null
+/// for none).
+///
+/// # Safety
+///
+/// Every pointer must be a free block exclusively owned by the caller.
+unsafe fn link<T>(blocks: impl IntoIterator<Item = *mut Block<T>>) -> *mut Block<T> {
+    let mut head = ptr::null_mut();
+    for block in blocks {
+        // Safety: a free block of the caller's, per the contract.
+        unsafe { (*block).next = head };
+        head = block;
+    }
+    head
 }
 
 /// Last block and length of the non-empty, null-terminated list at `head`.
@@ -220,8 +244,8 @@ impl<T> Drop for ChunkStore<T> {
     }
 }
 
-/// The shared arena state: the free lists, a handle on the family chunk
-/// store, the batch-buffer pool.
+/// The shared arena state: the free lists, the parked batches, a handle
+/// on the family chunk store, the batch-buffer pool.
 pub(crate) struct ArenaShared<T> {
     /// The writer's private stack of free blocks. An owner-thread word:
     /// only the writer holding the owning scratch loads or stores it (the
@@ -231,9 +255,10 @@ pub(crate) struct ArenaShared<T> {
     /// handle so the arena's drop can find it.
     local: AtomicPtr<Block<T>>,
     /// The shared list: a stack of free blocks threaded through the blocks
-    /// themselves. Multi-producer (any reclaiming thread pushes a chain),
-    /// single-consumer (only the writer holding the owning scratch takes
-    /// it, whole, onto `local`).
+    /// themselves, fed by the hybrid backend's per-pointer reclaim
+    /// (`recycle_one`). Multi-producer (any reclaiming thread pushes a
+    /// chain), single-consumer (only the writer holding the owning scratch
+    /// takes it, whole, onto `local`).
     free: AtomicPtr<Block<T>>,
     /// The [`FREE_CAP`] gauge: blocks pushed onto `free` since the owner
     /// last took the list. It counts only the shared list — never the
@@ -247,6 +272,15 @@ pub(crate) struct ArenaShared<T> {
     /// holds at most about 2 × `FREE_CAP` free blocks (one taken list and
     /// one full shared list) plus what the owner itself freed.
     free_len: AtomicUsize,
+    /// Batches the recycler parked: vectors of free blocks, nothing linked
+    /// through them. Multi-producer (any reclaiming thread parks a batch),
+    /// single-consumer (the owner takes one batch at a time); the mutex
+    /// orders a producer's payload drops before the owner reuses a block.
+    parked: Mutex<Vec<RecycleBatch>>,
+    /// The [`FREE_CAP`] gauge of `parked`: blocks parked and not yet taken.
+    /// Changed only under the `parked` lock, so exact there; read without
+    /// it as the owner's emptiness peek and the recycler's cap check.
+    parked_len: AtomicUsize,
     /// The family chunk store backing this arena's blocks — and, because
     /// blocks migrate, possibly blocks on sibling lists too. Held by `Arc`
     /// so a pending batch (which holds an `Arc` to this arena) pins every
@@ -332,6 +366,36 @@ impl<T> ArenaShared<T> {
         self.local.store(block, Relaxed);
     }
 
+    /// Takes one parked batch, if any: copies its pointers onto `ready`
+    /// (touching no block), pools the emptied buffer and pops `ready`.
+    /// Owner only.
+    fn unpark(&self, ready: &mut Vec<*mut Block<T>>) -> Option<*mut Block<T>> {
+        // ordering: Relaxed — emptiness peek that saves the lock when
+        // nothing is parked; a stale zero only sends this allocation on to
+        // the shared list and the shelf.
+        if self.parked_len.load(Relaxed) == 0 {
+            return None;
+        }
+        let mut batch = {
+            let mut parked = self.parked.lock().unwrap_or_else(|e| e.into_inner());
+            let batch = parked.pop()?;
+            // ordering: Relaxed — the gauge; changed under the lock.
+            self.parked_len.fetch_sub(batch.len(), Relaxed);
+            batch
+        };
+        ready.extend(batch.drain().map(|p| p.cast::<Block<T>>()));
+        self.pool(batch);
+        ready.pop()
+    }
+
+    /// Returns a drained batch buffer to the pool, up to its cap.
+    fn pool(&self, batch: RecycleBatch) {
+        let mut pool = self.batches.lock().unwrap_or_else(|e| e.into_inner());
+        if pool.len() < BATCH_POOL_MAX {
+            pool.push(batch);
+        }
+    }
+
     /// Refills the empty private stack — the whole shared list if it holds
     /// anything, else a chunk's worth of the family shelf — and pops it.
     /// Owner only.
@@ -360,6 +424,12 @@ impl<T> ArenaShared<T> {
         self.pop()
     }
 
+    /// Pops a pooled batch buffer, or a fresh empty one.
+    fn take_batch(&self) -> RecycleBatch {
+        let mut pool = self.batches.lock().unwrap_or_else(|e| e.into_inner());
+        pool.pop().unwrap_or_default()
+    }
+
     /// Drops the payload of a retired block, leaving a free block.
     ///
     /// # Safety
@@ -386,6 +456,14 @@ impl<T> Drop for ArenaShared<T> {
             // Safety: every list is exclusively ours now.
             unsafe { self.store.shelve(list.load(Relaxed)) };
         }
+        let parked = self.parked.get_mut().unwrap_or_else(|e| e.into_inner());
+        for mut batch in parked.drain(..) {
+            // Safety: parked blocks are free and exclusively ours now.
+            unsafe {
+                let head = link(batch.drain().map(|p| p.cast::<Block<T>>()));
+                self.store.shelve(head);
+            }
+        }
     }
 }
 
@@ -393,31 +471,33 @@ impl<T> Drop for ArenaShared<T> {
 // batch back, and the arena turns each pointer into a free block.
 impl<T: Send> Recycler for ArenaShared<T> {
     unsafe fn recycle(&self, mut batch: RecycleBatch) {
-        let (mut head, mut tail) = (ptr::null_mut::<Block<T>>(), ptr::null_mut());
+        if std::mem::needs_drop::<T>() {
+            // Copy the pointers into a second pooled buffer while dropping
+            // (a batch cannot be walked without draining it).
+            let mut kept = self.take_batch();
+            for p in batch.drain() {
+                // Safety: `defer_recycle`'s contract (each pointer is an
+                // arena-family block holding an initialized node, past its
+                // grace period, retired exactly once) is `drop_payload`'s.
+                unsafe { Self::drop_payload(p.cast()) };
+                kept.push(p);
+            }
+            self.pool(std::mem::replace(&mut batch, kept));
+        }
         let len = batch.len();
-        for p in batch.drain() {
-            let block = p as *mut Block<T>;
-            // Safety: `defer_recycle`'s contract (each pointer is an
-            // arena-family block holding an initialized node, past its
-            // grace period, retired exactly once) is `drop_payload`'s, and
-            // makes the block ours to link in front of the chain.
-            unsafe {
-                Self::drop_payload(block);
-                (*block).next = head;
-            }
-            if head.is_null() {
-                tail = block;
-            }
-            head = block;
+        // ordering: Relaxed — occupancy heuristic, as in `push_chain`: a
+        // stale read only shifts which list the batch lands on.
+        if len == 0 || self.parked_len.load(Relaxed) >= FREE_CAP {
+            // Safety: the batch's blocks are free (payloads dropped or
+            // without drop glue) and ours alone.
+            unsafe { self.store.shelve(link(batch.drain().map(|p| p.cast()))) };
+            self.pool(batch);
+            return;
         }
-        if len > 0 {
-            // Safety: the chain just built is ours alone.
-            unsafe { self.push_chain(head, tail, len) };
-        }
-        let mut pool = self.batches.lock().unwrap();
-        if pool.len() < BATCH_POOL_MAX {
-            pool.push(batch);
-        }
+        let mut parked = self.parked.lock().unwrap_or_else(|e| e.into_inner());
+        parked.push(batch);
+        // ordering: Relaxed — the gauge; changed under the lock.
+        self.parked_len.fetch_add(len, Relaxed);
     }
 
     unsafe fn recycle_one(&self, ptr: *mut ()) {
@@ -440,7 +520,16 @@ impl<T: Send> Recycler for ArenaShared<T> {
 /// one writer at a time (it lives inside a lock-guarded scratch).
 pub(crate) struct Arena<T> {
     shared: Arc<ArenaShared<T>>,
+    /// What is left of the last parked batch the owner took: free blocks,
+    /// served before the next batch is unparked. Owner only, so a plain
+    /// `Vec` whose capacity persists (no allocation once warm).
+    ready: Vec<*mut Block<T>>,
 }
+
+// Safety: the ready blocks are free blocks of the family, reached only
+// through this handle; moving the handle moves their ownership with it,
+// which `ArenaShared`'s own `Send` argument covers.
+unsafe impl<T: Send> Send for Arena<T> {}
 
 impl<T> Default for Arena<T> {
     fn default() -> Self {
@@ -463,18 +552,21 @@ impl<T> Arena<T> {
                 local: AtomicPtr::new(ptr::null_mut()),
                 free: AtomicPtr::new(ptr::null_mut()),
                 free_len: AtomicUsize::new(0),
+                parked: Mutex::new(Vec::new()),
+                parked_len: AtomicUsize::new(0),
                 store,
                 batches: Mutex::new(Vec::new()),
             }),
+            ready: Vec::new(),
         }
     }
 
     /// Allocates a block holding `value`: the private stack first, then
-    /// the shared list, then the family shelf, a fresh chunk only when all
-    /// three are dry (warm-up). Returns a pointer valid until the block is
-    /// reclaimed (and stable across publication — the tree hands it to
-    /// readers).
-    pub(crate) fn alloc(&self, value: T) -> *mut T {
+    /// the ready blocks, then a parked batch, the shared list and the
+    /// family shelf, a fresh chunk only when all are dry (warm-up).
+    /// Returns a pointer valid until the block is reclaimed (and stable
+    /// across publication — the tree hands it to readers).
+    pub(crate) fn alloc(&mut self, value: T) -> *mut T {
         // Failpoint: models allocation failure (as Rust's infallible
         // allocator surfaces it — an unwind) before any free-list state
         // moves, so an injected failure leaves the arena untouched.
@@ -482,6 +574,8 @@ impl<T> Arena<T> {
         let shared = &*self.shared;
         let block = shared
             .pop()
+            .or_else(|| self.ready.pop())
+            .or_else(|| shared.unpark(&mut self.ready))
             .or_else(|| shared.refill())
             .unwrap_or_else(|| self.grow());
         // Safety: `block` is free (popped or freshly carved), so writing
@@ -536,12 +630,7 @@ impl<T> Arena<T> {
     /// Pops a pooled (drained, warm-capacity) batch buffer for the next
     /// retirement, or a fresh empty one during warm-up.
     pub(crate) fn take_batch(&self) -> RecycleBatch {
-        self.shared
-            .batches
-            .lock()
-            .unwrap()
-            .pop()
-            .unwrap_or_default()
+        self.shared.take_batch()
     }
 
     /// The family chunk store this arena belongs to — how a forked tree's
@@ -557,19 +646,22 @@ impl<T> Arena<T> {
         self.shared.store.chunks.lock().unwrap().len()
     }
 
-    /// Free blocks on this arena's two lists, by walking them. Audit aid:
-    /// sound only while no writer holds the arena and no batch can fire
-    /// into it (the family is quiescent and its backend drained).
+    /// Free blocks on this arena's two lists, its ready blocks and its
+    /// parked batches. Audit aid: sound only while no writer holds the
+    /// arena and no batch can fire into it (the family is quiescent and
+    /// its backend drained).
     pub(crate) fn free_blocks(&self) -> usize {
         let shared = &*self.shared;
-        [&shared.local, &shared.free]
+        let listed: usize = [&shared.local, &shared.free]
             .into_iter()
             // ordering: Relaxed — quiescent per the contract above.
             .map(|list| list.load(Relaxed))
             .filter(|head| !head.is_null())
             // Safety: quiescence makes every list ours to read.
             .map(|head| unsafe { list_end(head).1 })
-            .sum()
+            .sum();
+        let parked = shared.parked.lock().unwrap_or_else(|e| e.into_inner());
+        listed + self.ready.len() + parked.iter().map(RecycleBatch::len).sum::<usize>()
     }
 
     /// The shared list's gauge (test probe for the [`FREE_CAP`]
@@ -578,6 +670,23 @@ impl<T> Arena<T> {
     fn free_len(&self) -> usize {
         // ordering: Relaxed — test probe of the heuristic counter.
         self.shared.free_len.load(Relaxed)
+    }
+
+    /// The parked batches' gauge (test probe, as `free_len`).
+    #[cfg(test)]
+    fn parked_len(&self) -> usize {
+        // ordering: Relaxed — test probe; exact at quiescence.
+        self.shared.parked_len.load(Relaxed)
+    }
+}
+
+impl<T> Drop for Arena<T> {
+    fn drop(&mut self) {
+        // The owner is gone: its ready blocks go to the family shelf now
+        // rather than when the shared state dies (pending batches may keep
+        // that alive much longer).
+        // Safety: ready blocks are free and this handle's alone.
+        unsafe { self.shared.store.shelve(link(self.ready.drain(..))) };
     }
 }
 
@@ -604,7 +713,7 @@ mod tests {
 
     #[test]
     fn alloc_reclaim_now_reuses_blocks() {
-        let arena: Arena<u64> = Arena::new();
+        let mut arena: Arena<u64> = Arena::new();
         let a = arena.alloc(7);
         // Safety: `a` is ours alone; reclaimed exactly once.
         unsafe { arena.reclaim_now(a) };
@@ -618,7 +727,7 @@ mod tests {
 
     #[test]
     fn steady_churn_allocates_no_new_chunks() {
-        let arena: Arena<[u64; 4]> = Arena::new();
+        let mut arena: Arena<[u64; 4]> = Arena::new();
         // Warm up past one chunk.
         let mut live: Vec<*mut [u64; 4]> = (0..3 * CHUNK_BLOCKS as u64)
             .map(|i| arena.alloc([i; 4]))
@@ -648,12 +757,12 @@ mod tests {
         const ROUNDS: usize = 10;
         const BLOCKS: usize = 6 * CHUNK_BLOCKS;
         let store = Arc::new(ChunkStore::new());
-        let a: Arena<u64> = Arena::with_store(store.clone());
+        let mut a: Arena<u64> = Arena::with_store(store.clone());
         let b: Arena<u64> = Arena::with_store(store.clone());
         let mut settled = 0;
         for round in 0..ROUNDS {
             // A allocates; everything retires through B (the worst-case
-            // one-directional migration under cross-stripe churn).
+            // one-directional migration across lineages and slots).
             let live: Vec<*mut u64> = (0..BLOCKS as u64).map(|i| a.alloc(i)).collect();
             let recycler = b.recycler();
             for group in live.chunks(CHUNK_BLOCKS) {
@@ -665,13 +774,13 @@ mod tests {
                 // sole owner) and retired exactly once.
                 unsafe { recycler.recycle(batch) };
             }
-            // B's shared list never exceeds its cap (B never allocates,
-            // so its gauge never resets and counts exactly); the rest of
+            // B's parked blocks never exceed the cap (B never allocates,
+            // so its gauge never falls and counts exactly); the rest of
             // the family's free blocks sit on the shelf.
             assert!(
-                b.free_len() <= FREE_CAP && b.free_blocks() == b.free_len(),
-                "round {round}: shared list above cap ({})",
-                b.free_len()
+                b.parked_len() <= FREE_CAP && b.free_blocks() == b.parked_len(),
+                "round {round}: parked blocks above cap ({})",
+                b.parked_len()
             );
             if round == 2 {
                 // By now A has grown the one-time make-up for the blocks
@@ -690,21 +799,20 @@ mod tests {
         assert!(store.carved_and_shelved().1 > 0, "diversion never engaged");
     }
 
-    /// The gauge's stated meaning: it counts the shared list only, and a
-    /// take resets it — so an owner that keeps allocating keeps accepting
-    /// recycled chains, however many blocks have passed through.
+    /// The gauge's stated meaning: it counts the linked shared list only
+    /// (the per-pointer `recycle_one` path feeds it), and a take resets it
+    /// — so an owner that keeps allocating keeps accepting recycled
+    /// blocks, however many have passed through.
     #[test]
     fn gauge_counts_the_shared_list_and_resets_on_every_take() {
-        let arena: Arena<u64> = Arena::new();
+        let mut arena: Arena<u64> = Arena::new();
         let recycler = arena.recycler();
         for round in 0..4 * FREE_CAP as u64 {
             let live: Vec<*mut u64> = (0..8).map(|i| arena.alloc(round + i)).collect();
-            let mut batch = arena.take_batch();
             for &p in &live {
-                batch.push(p as *mut ());
+                // Safety: unreachable (sole owner), retired exactly once.
+                unsafe { recycler.recycle_one(p as *mut ()) };
             }
-            // Safety: unreachable (sole owner), retired exactly once.
-            unsafe { recycler.recycle(batch) };
             assert!(arena.free_len() <= FREE_CAP, "gauge never reset");
         }
         assert_eq!(arena.chunks(), 1, "recirculating churn grew the arena");
@@ -715,35 +823,144 @@ mod tests {
         );
     }
 
-    /// A dying arena — last handle *and* last pending batch gone — hands
-    /// the blocks on both of its lists to the family shelf, where the next
-    /// sibling finds them before growing a chunk.
+    /// Parking is bounded like the shared list: once an arena holds
+    /// [`FREE_CAP`] parked blocks, further batches are linked onto the
+    /// family shelf.
+    #[test]
+    fn free_cap_bounds_the_parked_blocks() {
+        let store = Arc::new(ChunkStore::new());
+        let mut owner: Arena<u64> = Arena::with_store(store.clone());
+        let recycler = owner.recycler();
+        let batches = 2 * FREE_CAP / CHUNK_BLOCKS;
+        let full: Vec<RecycleBatch> = (0..batches)
+            .map(|_| {
+                let mut batch = RecycleBatch::new();
+                for i in 0..CHUNK_BLOCKS as u64 {
+                    batch.push(owner.alloc(i) as *mut ());
+                }
+                batch
+            })
+            .collect();
+        for batch in full {
+            // Safety: unreachable (sole owner), retired exactly once.
+            unsafe { recycler.recycle(batch) };
+            assert!(owner.parked_len() <= FREE_CAP, "parked past the cap");
+        }
+        assert_eq!(owner.parked_len(), FREE_CAP);
+        let (carved, shelved) = store.carved_and_shelved();
+        assert_eq!(
+            shelved,
+            batches * CHUNK_BLOCKS - FREE_CAP,
+            "diverted blocks"
+        );
+        assert_eq!(carved - shelved, owner.free_blocks());
+    }
+
+    /// A batch recycled on another thread is parked for the owner, whose
+    /// next allocations are exactly its blocks, with no chunk carved.
+    #[test]
+    fn batch_recycled_on_another_thread_serves_the_owner() {
+        let mut arena: Arena<u64> = Arena::new();
+        let live: Vec<*mut u64> = (0..CHUNK_BLOCKS as u64).map(|i| arena.alloc(i)).collect();
+        let mut batch = arena.take_batch();
+        for &p in &live {
+            batch.push(p as *mut ());
+        }
+        let recycler = arena.recycler();
+        std::thread::spawn(move || {
+            // Safety: unreachable (sole owner), retired exactly once; the
+            // test hands the batch to one thread, as the collector would.
+            unsafe { recycler.recycle(batch) };
+        })
+        .join()
+        .unwrap();
+        assert_eq!(arena.parked_len(), CHUNK_BLOCKS);
+        let mut again: Vec<*mut u64> = (0..CHUNK_BLOCKS as u64).map(|i| arena.alloc(i)).collect();
+        assert_eq!(arena.chunks(), 1, "the owner carved past a parked batch");
+        again.sort();
+        let mut want = live;
+        want.sort();
+        assert_eq!(again, want, "the owner was not served the parked blocks");
+        for p in again {
+            // Safety: live, owned here, reclaimed once.
+            unsafe { arena.reclaim_now(p) };
+        }
+    }
+
+    /// Recycling a `T` without drop glue writes nothing into the blocks: a
+    /// sentinel in every block's link word survives the recycle.
+    #[test]
+    fn recycle_leaves_drop_free_blocks_untouched() {
+        const SENTINEL: u64 = 0x5EA1_5EA1_5EA1_5EA1;
+        let mut arena: Arena<u64> = Arena::new();
+        // A `u64` payload lies exactly over the link word.
+        let live: Vec<*mut u64> = (0..8).map(|_| arena.alloc(SENTINEL)).collect();
+        let mut batch = arena.take_batch();
+        for &p in &live {
+            batch.push(p as *mut ());
+        }
+        // Safety: unreachable (sole owner), retired exactly once.
+        unsafe { arena.recycler().recycle(batch) };
+        assert_eq!(arena.parked_len(), live.len());
+        for &p in &live {
+            // Safety: a free block of this arena; its bytes are still the
+            // initialized `u64` written above, and nothing races the read.
+            assert_eq!(unsafe { p.read() }, SENTINEL, "the recycle wrote a block");
+        }
+    }
+
+    /// A dying arena hands every free block it holds to the family shelf:
+    /// the dropped handle its private stack's share and the ready rest of
+    /// a half-used parked batch, the dead shared state (last handle *and*
+    /// last pending batch gone) a batch parked after the handle died. The
+    /// ledger is exact at each step, and the next sibling finds the blocks
+    /// before growing a chunk.
     #[test]
     fn dead_arena_returns_its_blocks_to_the_family_shelf() {
         let store = Arc::new(ChunkStore::new());
-        let child: Arena<u64> = Arena::with_store(store.clone());
-        let live: Vec<*mut u64> = (0..10).map(|i| child.alloc(i)).collect();
+        let mut child: Arena<u64> = Arena::with_store(store.clone());
+        let recycler = child.recycler();
+        let live: Vec<*mut u64> = (0..20).map(|i| child.alloc(i)).collect();
+        // Park 6 blocks; with the private stack set aside, the next two
+        // allocations unpark them and leave a half-used batch.
         let mut batch = child.take_batch();
-        for &p in &live[..4] {
+        for &p in &live[..6] {
             batch.push(p as *mut ());
         }
-        for &p in &live[4..] {
+        // Safety: unreachable, retired exactly once.
+        unsafe { recycler.recycle(batch) };
+        // ordering: Relaxed — owner-thread word, as in `pop`.
+        let stack = child.shared.local.swap(ptr::null_mut(), Relaxed);
+        let reused: Vec<*mut u64> = (0..2).map(|i| child.alloc(i)).collect();
+        assert!(reused.iter().all(|p| live[..6].contains(p)));
+        assert_eq!(child.ready.len(), 4, "not a half-used batch");
+        // ordering: Relaxed — owner-thread word.
+        child.shared.local.store(stack, Relaxed);
+        // The "pending batch" outlives the handle and fires afterwards.
+        let mut pending = child.take_batch();
+        for &p in &live[6..10] {
+            pending.push(p as *mut ());
+        }
+        for &p in live[10..].iter().chain(&reused) {
             // Safety: live, owned here, reclaimed once.
             unsafe { child.reclaim_now(p) };
         }
-        // The "pending batch" outlives the handle and fires afterwards.
-        let recycler = child.recycler();
+        assert_eq!(child.free_blocks(), CHUNK_BLOCKS - 4, "ledger off");
         drop(child);
-        assert_eq!(store.carved_and_shelved(), (CHUNK_BLOCKS, 0));
+        assert_eq!(
+            store.carved_and_shelved(),
+            (CHUNK_BLOCKS, 4),
+            "the dropped handle kept its ready blocks"
+        );
         // Safety: unreachable, retired exactly once.
-        unsafe { recycler.recycle(batch) };
+        unsafe { recycler.recycle(pending) };
         drop(recycler);
         assert_eq!(
             store.carved_and_shelved(),
             (CHUNK_BLOCKS, CHUNK_BLOCKS),
             "dead arena kept its blocks"
         );
-        let next: Arena<u64> = Arena::with_store(store.clone());
+        let mut next: Arena<u64> = Arena::with_store(store.clone());
         let again: Vec<*mut u64> = (0..CHUNK_BLOCKS as u64).map(|i| next.alloc(i)).collect();
         assert_eq!(next.chunks(), 1, "sibling grew a chunk past a full shelf");
         for p in again {
@@ -754,7 +971,7 @@ mod tests {
 
     #[test]
     fn recycle_one_returns_the_block_directly() {
-        let arena: Arena<u64> = Arena::new();
+        let mut arena: Arena<u64> = Arena::new();
         let p = arena.alloc(11);
         let recycler = arena.recycler();
         // Safety: `p` is unreachable and retired exactly once; this test
@@ -780,7 +997,7 @@ mod tests {
                 DROPS.fetch_add(1, Ordering::SeqCst);
             }
         }
-        let arena: Arena<Counted> = Arena::new();
+        let mut arena: Arena<Counted> = Arena::new();
         let p = arena.alloc(Counted);
         assert_eq!(DROPS.load(Ordering::SeqCst), 0);
         // Safety: live, owned, reclaimed once.
@@ -790,7 +1007,7 @@ mod tests {
 
     #[test]
     fn recycler_returns_blocks_and_pools_the_buffer() {
-        let arena: Arena<u64> = Arena::new();
+        let mut arena: Arena<u64> = Arena::new();
         let a = arena.alloc(1);
         let b = arena.alloc(2);
         let mut batch = arena.take_batch();

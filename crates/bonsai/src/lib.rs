@@ -24,18 +24,19 @@
 //!   protected by whatever that backend prescribes.
 //! * [`RangeMap`] — a VMA-style interval map over the tree, modeling the
 //!   paper's page-fault workload: `lookup(addr)` finds the mapped region
-//!   containing an address without taking any lock, while mutations take
-//!   a *range lock* on exactly the byte span they touch — disjoint
-//!   `map`/`unmap`/`unmap_range` calls from different threads commit in
-//!   parallel, only overlapping spans serialize.
+//!   containing an address without taking any lock, while each mutation
+//!   decides inside its own copy-on-write rebuild and publishes with one
+//!   root CAS — `map`/`unmap`/`unmap_range` calls from different threads
+//!   run in parallel with nothing but that CAS ordering them, each from a
+//!   writer slot that lends its thread the same scratch every time.
 //! * [`AddressSpace`] — the backend abstraction the benchmark harness
 //!   drives, so the same fault/map/unmap trace runs against [`RangeMap`]
 //!   and against a lock-serialized baseline for the paper's comparison.
 //!
 //! The full concurrency design — epoch lifecycle, the writer session
-//! ordering invariant, the range-lock coverage rule and its
-//! deadlock-freedom argument — is written up once, in prose, in
-//! `docs/CONCURRENCY.md` at the repository root.
+//! ordering invariant, why the root CAS alone makes a planned mutation
+//! atomic, and the writer slots' deadlock-freedom argument — is written up
+//! once, in prose, in `docs/CONCURRENCY.md` at the repository root.
 //!
 //! ```
 //! use bonsai::RangeMap;
@@ -57,7 +58,6 @@
 
 mod addrspace;
 mod arena;
-mod range_lock;
 mod range_map;
 mod sync;
 mod tree;

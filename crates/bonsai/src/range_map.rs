@@ -1,48 +1,50 @@
-//! A VMA-style interval map over the Bonsai tree, with range-locked
-//! parallel writers.
+//! A VMA-style interval map over the Bonsai tree, with writers ordered by
+//! the root CAS alone.
 //!
 //! Models the paper's address-space workload: page faults translate an
 //! address to the mapped region containing it (`lookup`), concurrently with
 //! `mmap`/`munmap`-style mutations (`map`/`unmap`/`unmap_range`). Lookups
-//! are lock-free reads of the underlying [`BonsaiTree`]; mutations acquire
-//! a [`RangeLocks`](crate::range_lock) span covering exactly the bytes they
-//! decide over and mutate, so **disjoint mutations run in parallel** and
-//! only overlapping spans serialize — the finer-grained successor to the
-//! paper's single per-address-space writer lock.
+//! are lock-free reads of the underlying [`BonsaiTree`]. Each mutation is
+//! one *plan* run inside the tree's rebuild
+//! ([`BonsaiTree::cut_span_with`]): it reads the root the attempt was
+//! handed, decides (does the range overlap a region? does one start
+//! here?), and says what to cut; the next version then publishes with one
+//! root CAS. A lost CAS re-plans from the winner's root, so a decision
+//! commits with the update built on it or not at all: check-then-act is
+//! atomic with nothing but the CAS between writers, and a refused `map` or
+//! a missed `unmap` publishes nothing.
 //!
-//! # The lock-coverage invariant
+//! # Writer slots
 //!
-//! Every mutation holds range locks covering (a) every byte of every
-//! region it inserts, (b) every byte of every region it removes or
-//! replaces, and (c) every byte whose coverage status its decision depends
-//! on. Since any region overlapping a span `[start, end)` necessarily
-//! covers at least one byte *inside* the span, holding `[start, end)`
-//! freezes the span's coverage: no concurrent writer can create or destroy
-//! coverage of any byte in it. That is exactly what makes `map`'s
-//! check-then-insert atomic against other writers, while the tree-level
-//! CAS commit (see `tree.rs`) keeps concurrent disjoint commits physically
-//! sound. Operations whose affected extent is discovered dynamically
-//! (`unmap` of an unknown-length region, `unmap_range` hitting straddling
-//! regions) use a *widening retry*: if the discovered extent escapes the
-//! held span, release, re-acquire the wider monotonically-grown span, and
-//! revalidate — never extending a held lock, so the no-hold-and-wait
-//! deadlock-freedom argument (`docs/CONCURRENCY.md`) is preserved.
+//! What a writer does need to itself is a scratch: its rebuild buffers,
+//! its pending retire list and its node arena. The map keeps one *writer
+//! slot* per available CPU (rounded up to a power of two), each a mutex
+//! over a scratch built on the slot's first write. A writer takes the slot
+//! it took last (a thread-local index) if that one is free, else the next
+//! free one, and waits only when every slot is busy — so a thread keeps
+//! one scratch, one arena and one pending list, and does not write lines
+//! another writer holds dirty. [`RangeMap::fork`] takes every slot in
+//! index order, which is the writer exclusion `BonsaiTree::fork_in`
+//! needs. A writer holds one slot and only a fork holds several, taken in
+//! order, so the slots cannot deadlock.
 //!
 //! # What readers observe
 //!
 //! Every mutation, `unmap_range` included, is one publication (one root
 //! CAS), so a lock-free reader sees each one wholly applied or not at all.
 
+use std::cell::Cell;
 use std::fmt;
-use std::sync::Arc;
+use std::mem::MaybeUninit;
+use std::sync::atomic::Ordering::Relaxed;
+use std::sync::{Arc, TryLockError};
 
 use rcukit::{Collector, Guard, ReclaimBackend};
 
 use crate::arena::ChunkStore;
-use crate::range_lock::{RangeLocks, RangeWriteGuard};
-use crate::tree::{
-    with_write_session, BonsaiTree, Cut, Floor, Node, Probe, WriteSess, WriterScratch,
-};
+use crate::sync::atomic::AtomicU64;
+use crate::sync::{Mutex, MutexGuard};
+use crate::tree::{with_write_session, BonsaiTree, Cut, Floor, Node, Probe, WriterScratch};
 
 /// A mapped region: keyed in the tree by its start address, carrying its
 /// exclusive end and a payload.
@@ -52,11 +54,30 @@ struct Extent<V> {
     value: V,
 }
 
-/// The scratch type pooled by the map's range-lock manager.
+/// The scratch a writer slot lends.
 type Scratch<V> = WriterScratch<u64, Extent<V>>;
 
-/// A held range lock, lending its pooled scratch.
-type Lock<'a, V> = RangeWriteGuard<'a, Scratch<V>>;
+/// Upper bound on writer slots.
+const MAX_SLOTS: usize = 64;
+
+/// One writer slot: a scratch, built on the slot's first write, with 128
+/// bytes of padding so that no two slots' data share a line pair (128
+/// bytes, for CPUs whose adjacent-line prefetcher couples them): the
+/// holder writes the scratch's buffer headers on every update, and a
+/// neighbouring slot is another thread's. The padding is never written,
+/// so building a slot table (every fork does) touches only the slots'
+/// own lines; and it is padding, not `align(128)`, which made every fork
+/// an aligned allocation, ~150 ns dearer with glibc.
+struct Slot<V> {
+    scratch: Mutex<Option<Scratch<V>>>,
+    _pad: MaybeUninit<[u8; 128]>,
+}
+
+thread_local! {
+    /// The writer slot index this thread took last, on any map: where its
+    /// next write looks first.
+    static LAST_SLOT: Cell<usize> = const { Cell::new(0) };
+}
 
 /// An interval map of non-overlapping half-open ranges `[start, end)`,
 /// backed by a [`BonsaiTree`] keyed on range start.
@@ -65,30 +86,31 @@ type Lock<'a, V> = RangeWriteGuard<'a, Scratch<V>>;
 /// (exact-start), [`unmap_range`](Self::unmap_range) is a multi-region
 /// `munmap` that splits and truncates straddling regions, and `lookup` is
 /// the page-fault handler's VMA search — the operation the paper makes
-/// scale by running it under RCU instead of a lock. Mutations on disjoint
-/// spans commit in parallel under per-span range locks; see the module
-/// docs and `docs/CONCURRENCY.md`.
+/// scale by running it under RCU instead of a lock. Mutations from
+/// different threads run in parallel up to their root CAS, which alone
+/// orders them; see the module docs and `docs/CONCURRENCY.md`.
 pub struct RangeMap<V> {
     tree: BonsaiTree<u64, Extent<V>>,
     /// The arena family every scratch of this map — the tree's mutex-owned
-    /// one and the range-lock pool's alike — allocates from. Held here so
+    /// one and the writer slots' alike — allocates from. Held here so
     /// [`fork`](Self::fork) can put the child lineage's scratches in the
     /// same family: lineages share nodes, so they must share the blocks'
     /// lifetime story too (a pending recycle batch pins only its own
     /// arena's store).
     store: Arc<ChunkStore<Node<u64, Extent<V>>>>,
-    /// The range-lock manager: writer mutual exclusion by byte span, plus
-    /// the pool of per-holder scratch buffers (the map's share of the
-    /// writer-path allocation diet).
-    locks: RangeLocks<Scratch<V>>,
+    /// The writer slots, a power of two of them.
+    slots: Box<[Slot<V>]>,
+    /// Writes that found every slot busy and waited for their own (test
+    /// aid; touched only on that path).
+    slot_waits: AtomicU64,
 }
 
 impl<V> RangeMap<V>
 where
     V: Clone + Send + Sync + 'static,
 {
-    /// Creates an empty map reclaiming through `collector`. The range-lock
-    /// table is striped by the machine's available parallelism.
+    /// Creates an empty map reclaiming through `collector`, with one writer
+    /// slot per available CPU.
     pub fn new(collector: Collector) -> Self {
         Self::with_backend(ReclaimBackend::Epoch(collector))
     }
@@ -99,76 +121,116 @@ where
     /// backend, while the owned lookups and [`contains`](Self::contains)
     /// work on both.
     pub fn with_backend(backend: ReclaimBackend) -> Self {
-        Self::build(backend, None)
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        Self::with_slots(backend, cpus)
     }
 
-    /// [`new`](Self::new) with an explicit range-lock stripe count
-    /// (rounded up to a power of two, clamped to `1..=64`). Test and
-    /// model-checking aid: small stripe tables force multi-stripe span
-    /// geometries a machine-sized table would spread out.
+    /// [`with_backend`](Self::with_backend) with an explicit writer slot
+    /// count (rounded up to a power of two, clamped to `1..=64`). Test and
+    /// model-checking aid: one slot makes every writer share one scratch,
+    /// enough slots guarantee no writer waits.
     #[doc(hidden)]
-    pub fn with_stripes(collector: Collector, stripes: usize) -> Self {
-        Self::with_backend_and_stripes(ReclaimBackend::Epoch(collector), stripes)
-    }
-
-    /// [`with_backend`](Self::with_backend) with an explicit range-lock
-    /// stripe count (see [`with_stripes`](Self::with_stripes)).
-    #[doc(hidden)]
-    pub fn with_backend_and_stripes(backend: ReclaimBackend, stripes: usize) -> Self {
-        Self::build(backend, Some(stripes))
-    }
-
-    /// Shared constructor body: one fresh arena family (one chunk store)
-    /// for the whole map, joined by the tree's mutex-owned scratch and
-    /// every pooled range-lock scratch, so retired blocks may migrate
-    /// between them while any pending recycle batch keeps all their
-    /// backing chunks alive (see `crate::arena`).
-    fn build(backend: ReclaimBackend, stripes: Option<usize>) -> Self {
+    pub fn with_slots(backend: ReclaimBackend, slots: usize) -> Self {
+        // One fresh arena family (one chunk store) for the whole map,
+        // joined by the tree's mutex-owned scratch and every slot's, so
+        // retired blocks may migrate between them while any pending
+        // recycle batch keeps all their backing chunks alive (see
+        // `crate::arena`).
         let store: Arc<ChunkStore<Node<u64, Extent<V>>>> = Arc::new(ChunkStore::new());
         let tree = BonsaiTree::with_scratch(backend, Scratch::with_store(store.clone()));
-        Self::assemble(tree, store, stripes)
+        Self::assemble(tree, store, slots)
     }
 
     /// Wraps an already-built tree (fresh or forked) in a map over
-    /// `store`'s arena family.
+    /// `store`'s arena family, with `slots` empty writer slots.
     fn assemble(
         tree: BonsaiTree<u64, Extent<V>>,
         store: Arc<ChunkStore<Node<u64, Extent<V>>>>,
-        stripes: Option<usize>,
+        slots: usize,
     ) -> Self {
-        let locks = match stripes {
-            Some(n) => RangeLocks::with_stripes(n),
-            None => RangeLocks::new(),
-        };
-        Self { tree, store, locks }
+        let slots = slots.clamp(1, MAX_SLOTS).next_power_of_two();
+        Self {
+            tree,
+            store,
+            slots: (0..slots)
+                .map(|_| Slot {
+                    scratch: Mutex::new(None),
+                    _pad: MaybeUninit::uninit(),
+                })
+                .collect(),
+            slot_waits: AtomicU64::new(0),
+        }
     }
 
-    /// Acquires the range lock on `[lo, hi)`; a pool miss creates the
-    /// lent scratch in this map's arena family.
-    fn acquire(&self, lo: u64, hi: u64) -> Lock<'_, V> {
-        self.locks
-            .acquire(lo, hi, || Scratch::with_store(self.store.clone()))
+    /// Lends the calling writer a slot: the one this thread took last if
+    /// it is free, else the next free one, else — every slot busy — its
+    /// own once that frees up. Only this last case blocks, holding nothing.
+    fn slot(&self) -> MutexGuard<'_, Option<Scratch<V>>> {
+        let mask = self.slots.len() - 1;
+        let home = LAST_SLOT.with(Cell::get) & mask;
+        for idx in (home..=home + mask).map(|i| i & mask) {
+            let guard = match self.slots[idx].scratch.try_lock() {
+                Ok(guard) => guard,
+                // A writer unwound holding it: `DrainOnUnwind` (tree.rs)
+                // left the scratch clean, so the slot is sound to reuse.
+                Err(TryLockError::Poisoned(e)) => e.into_inner(),
+                Err(TryLockError::WouldBlock) => continue,
+            };
+            LAST_SLOT.with(|last| last.set(idx));
+            return guard;
+        }
+        // ordering: Relaxed — diagnostic counter.
+        self.slot_waits.fetch_add(1, Relaxed);
+        let scratch = &self.slots[home].scratch;
+        scratch.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Runs one mutation as the plan of a single cut (see
+    /// `BonsaiTree::cut_span_with`), from this thread's writer slot, in
+    /// the writer session order (backend gate → slot → pin → mutate →
+    /// release slot → unpin; see `with_write_session`).
+    fn cut<R>(
+        &self,
+        plan: impl FnMut(&Floor<'_, u64, Extent<V>>) -> Result<(Cut<u64, Extent<V>>, R), R>,
+    ) -> (R, usize) {
+        with_write_session(
+            &self.tree,
+            || self.slot(),
+            |sess, slot| {
+                let scratch = slot.get_or_insert_with(|| Scratch::with_store(self.store.clone()));
+                self.tree.cut_span_with(sess, scratch, plan)
+            },
+        )
     }
 
     /// Snapshots the map in O(1) — the `fork()` of the paper's
     /// address-space analogy: the child starts as an identical map sharing
     /// every tree node with the parent, and the two diverge copy-on-write
     /// from there (see [`BonsaiTree::fork`]). The child keeps the parent's
-    /// backend, arena family, and stripe geometry.
+    /// backend, arena family, and slot count; it builds no scratch until
+    /// it is written.
     ///
-    /// The fork acquires the *full* address range, excluding every
+    /// The fork takes every writer slot, in index order, excluding every
     /// concurrent writer, so no commit can release the root it takes its
     /// count on (see `BonsaiTree::fork_in`). Readers of the parent are
     /// undisturbed.
     pub fn fork(&self) -> Self {
         with_write_session(
             &self.tree,
-            || self.acquire(0, u64::MAX),
-            |sess, _lock| {
+            || {
+                // The first four guards on the stack, the rest (on bigger
+                // machines) in a `Vec`: a fork on a small one allocates only
+                // what the child keeps.
+                let mut held = (self.slots.iter())
+                    .map(|slot| slot.scratch.lock().unwrap_or_else(|e| e.into_inner()));
+                let first: [Option<_>; 4] = std::array::from_fn(|_| held.next());
+                (first, held.collect::<Vec<_>>())
+            },
+            |sess, _slots| {
                 let tree = self
                     .tree
                     .fork_in(sess, Scratch::with_store(self.store.clone()));
-                Self::assemble(tree, self.store.clone(), Some(self.locks.stripe_count()))
+                Self::assemble(tree, self.store.clone(), self.slots.len())
             },
         )
     }
@@ -200,55 +262,75 @@ where
         self.tree.pin()
     }
 
-    /// Largest capacity among the pooled writer scratch buffers (see
+    /// Folds `f` over every built slot scratch. Audit aid: it takes each
+    /// slot in turn, so call it only while no writer is active.
+    fn fold_scratches<A>(&self, init: A, mut f: impl FnMut(A, &Scratch<V>) -> A) -> A {
+        self.slots.iter().fold(init, |acc, slot| {
+            let scratch = slot.scratch.lock().unwrap_or_else(|e| e.into_inner());
+            scratch.iter().fold(acc, &mut f)
+        })
+    }
+
+    /// Largest capacity among the slots' writer scratch buffers (see
     /// `BonsaiTree::writer_scratch_capacity`). Test aid; call while no
     /// writer is active.
     #[doc(hidden)]
     pub fn writer_scratch_capacity(&self) -> usize {
-        self.locks.fold_pooled(0, |max, s| max.max(s.capacity()))
+        self.fold_scratches(0, |max, s| max.max(s.capacity()))
     }
 
-    /// Number of range-lock acquisitions that had to wait for an
-    /// overlapping holder. Test aid: disjoint-writer workloads should keep
-    /// this at (or near) zero, overlapping ones must move it.
+    /// Number of writer slots.
     #[doc(hidden)]
-    pub fn contended_acquires(&self) -> u64 {
-        self.locks.contended_acquires()
+    pub fn writer_slots(&self) -> usize {
+        self.slots.len()
     }
 
-    /// Number of stripes in the range-lock table.
+    /// Slots whose scratch has been built (by a first write). A fork
+    /// builds none.
     #[doc(hidden)]
-    pub fn lock_stripes(&self) -> usize {
-        self.locks.stripe_count()
+    pub fn built_writer_scratches(&self) -> usize {
+        self.fold_scratches(0, |n, _| n + 1)
     }
 
-    /// Held range-lock records across all stripes. Chaos-tier probe: at
-    /// quiescence this must be zero even after injected panics — an
-    /// unwinding writer's guard releases its span on drop.
+    /// Writes that found every slot busy and waited. Test aid: writers no
+    /// more numerous than the slots never move it.
     #[doc(hidden)]
-    pub fn held_range_locks(&self) -> usize {
-        self.locks.held_records()
+    pub fn slot_waits(&self) -> u64 {
+        // ordering: Relaxed — diagnostic snapshot.
+        self.slot_waits.load(Relaxed)
     }
 
-    /// Largest arena chunk count among the pooled writer scratches — the
+    /// Writer slots currently held. Chaos-tier probe: at quiescence this
+    /// must be zero even after injected panics — an unwinding writer's
+    /// guard releases its slot on drop.
+    #[doc(hidden)]
+    pub fn held_writer_slots(&self) -> usize {
+        let held = |slot: &&Slot<V>| {
+            let attempt = slot.scratch.try_lock();
+            matches!(attempt, Err(TryLockError::WouldBlock))
+        };
+        self.slots.iter().filter(held).count()
+    }
+
+    /// Largest arena chunk count among the slots' scratches — the
     /// capacity-flat proxy for the zero-allocation write path. Call while
-    /// no writer is active (lent scratches are invisible to the probe).
+    /// no writer is active.
     #[doc(hidden)]
     pub fn writer_arena_chunks(&self) -> usize {
-        self.locks
-            .fold_pooled(0, |max, s| max.max(s.arena_chunks()))
+        self.fold_scratches(0, |max, s| max.max(s.arena_chunks()))
     }
 
     /// Audits a whole fork family: each lineage's tree invariants, the
     /// reference counts (`BonsaiTree::check_family_invariants`), and the
     /// arena family's block ledger — blocks carved, minus blocks resting
-    /// on the shelf and on every live scratch's private stack and shared
-    /// list, minus nodes waiting on every live scratch's pending retire
-    /// list, must equal the distinct nodes the lineages reach, so a
-    /// retired block that never came back (or came back twice) shows.
-    /// Panics on violation. Test/debug aid: `family` must be *every* live
-    /// lineage of one family, no writer active, and the backend drained
-    /// (`synchronize`) so no shipped retirement is in flight.
+    /// on the shelf and free on every live scratch's arena (its lists, its
+    /// parked batches and its ready blocks), minus nodes waiting on every
+    /// live scratch's pending retire list, must equal the distinct nodes
+    /// the lineages reach, so a retired block that never came back (or
+    /// came back twice) shows. Panics on violation. Test/debug aid:
+    /// `family` must be *every* live lineage of one family, no writer
+    /// active, and the backend drained (`synchronize`) so no shipped
+    /// retirement is in flight.
     #[doc(hidden)]
     pub fn check_family_invariants(family: &[&Self]) {
         let trees: Vec<_> = family.iter().map(|m| &m.tree).collect();
@@ -260,16 +342,15 @@ where
         let (carved, shelved) = first.store.carved_and_shelved();
         let (free, pending) = family.iter().fold((0, 0), |acc, m| {
             let (free, pending) = m.tree.writer_free_and_pending();
-            m.locks
-                .fold_pooled((acc.0 + free, acc.1 + pending), |(f, p), s| {
-                    (f + s.arena.free_blocks(), p + s.pending_len())
-                })
+            m.fold_scratches((acc.0 + free, acc.1 + pending), |(f, p), s| {
+                (f + s.arena.free_blocks(), p + s.pending_len())
+            })
         });
         assert_eq!(
             carved - shelved - free - pending,
             reachable,
             "arena blocks in use disagree with the nodes the family reaches \
-             ({carved} carved, {shelved} shelved, {free} on live arenas' lists, \
+             ({carved} carved, {shelved} shelved, {free} free on live arenas, \
              {pending} pending retirement)"
         );
     }
@@ -297,101 +378,54 @@ where
         self.tree.is_empty()
     }
 
-    /// Runs `f` holding the range lock on `[lo, hi)` inside a write
-    /// session for the map's backend, in the writer session order
-    /// (backend gate → lock → protect → mutate → unlock → unprotect; see
-    /// `with_write_session`).
-    fn locked<R>(
-        &self,
-        lo: u64,
-        hi: u64,
-        f: impl FnOnce(&WriteSess<'_>, &mut Lock<'_, V>) -> R,
-    ) -> R {
-        with_write_session(&self.tree, || self.acquire(lo, hi), f)
-    }
-
-    /// Runs `f` [`locked`](Self::locked) on `[lo, hi)` until it completes,
-    /// for operations whose affected extent is discovered under the lock:
-    /// `f` returns `Err` with the span it needs when that extent escapes
-    /// the held one, and the retry takes the union. The span only ever
-    /// grows, so the loop terminates.
-    fn widening<T>(
-        &self,
-        (mut lo, mut hi): (u64, u64),
-        mut f: impl FnMut(&WriteSess<'_>, &mut Lock<'_, V>, (u64, u64)) -> Result<T, (u64, u64)>,
-    ) -> T {
-        loop {
-            match self.locked(lo, hi, |sess, lock| f(sess, lock, (lo, hi))) {
-                Ok(out) => return out,
-                Err((l, h)) => (lo, hi) = (lo.min(l), hi.max(h)),
-            }
-        }
-    }
-
     /// Maps `[start, end)` to `value`. Returns `false` (and maps nothing)
     /// if the range overlaps an existing region.
     ///
-    /// Runs under the range lock for exactly `[start, end)`: concurrent
-    /// `map`s of disjoint ranges proceed in parallel.
+    /// The overlap check is the plan of the insert's own rebuild, so it
+    /// reads exactly the version the insert replaces: concurrent `map`s of
+    /// overlapping ranges admit exactly one.
     ///
     /// # Panics
     ///
     /// Panics if `start >= end`.
     pub fn map(&self, start: u64, end: u64, value: V) -> bool {
         assert!(start < end, "empty or inverted range {start:#x}..{end:#x}");
-        self.locked(start, end, |sess, lock| {
-            // Predecessor overlap: a region starting at or before `start`
-            // that has not ended by `start`. (Reading the predecessor is
-            // covered by the invariant: its overlap status is a fact about
-            // coverage of byte `start`, which our lock freezes.)
-            if let Some((_, extent)) = self.tree.get_le_in(&start, sess) {
-                if extent.end > start {
-                    return false;
-                }
+        self.cut(|floor| {
+            // One probe: the last region starting before `end` overlaps if
+            // it starts inside `[start, end)`; otherwise it is also the
+            // last one starting at or before `start`, and overlaps if it
+            // has not ended by `start`. No other region can overlap.
+            if floor(&(end - 1)).is_some_and(|(&s, x)| s >= start || x.end > start) {
+                return Err(false);
             }
-            // Successor overlap: a region starting inside `[start, end)`,
-            // as the last region starting before `end` would then be.
-            if let Some((&last, _)) = self.tree.get_le_in(&(end - 1), sess) {
-                if last >= start {
-                    return false;
-                }
-            }
-            self.tree
-                .insert_with(start, Extent { end, value }, sess, lock.scratch());
-            true
+            let value = value.clone();
+            let cut = Cut {
+                lo: start,
+                hi: start,
+                first: Some(Extent { end, value }),
+                last: None,
+            };
+            Ok((cut, true))
         })
+        .0
     }
 
     /// Unmaps the region that starts exactly at `start`, returning its
-    /// payload.
-    ///
-    /// The coverage invariant requires holding the lock over the whole
-    /// region being destroyed, whose end is only discoverable by reading
-    /// the tree — so the span is sized by an optimistic lock-free read and
-    /// revalidated under the lock, widening and retrying if the region
-    /// grew in between.
+    /// payload. A miss publishes nothing.
     pub fn unmap(&self, start: u64) -> Option<V> {
-        // A lock-free miss here is a valid linearization point: no region
-        // starts at `start` as of this read.
-        let hi = self
-            .tree
-            .read_map(&start, Probe::Eq, |_, extent| extent.end)?;
-        self.widening((start, hi), |sess, lock, (_, hi)| {
-            match self
-                .tree
-                .get_le_in(&start, sess)
-                .filter(|&(&s, _)| s == start)
-            {
-                None => Ok(None),
-                // Remapped longer since the optimistic read: the held span
-                // no longer covers the region.
-                Some((_, extent)) if extent.end > hi => Err((start, extent.end)),
-                Some(_) => Ok(self
-                    .tree
-                    .remove_with(&start, sess, lock.scratch())
-                    .map(|extent| extent.value)),
+        self.cut(|floor| match floor(&start) {
+            Some((&s, x)) if s == start => {
+                let cut = Cut {
+                    lo: start,
+                    hi: start,
+                    first: None,
+                    last: None,
+                };
+                Ok((cut, Some(x.value.clone())))
             }
+            _ => Err(None),
         })
+        .0
     }
 
     /// Unmaps every byte in `[start, end)`, kernel-`munmap` style: regions
@@ -409,35 +443,26 @@ where
     /// Panics if `start >= end`.
     pub fn unmap_range(&self, start: u64, end: u64) -> usize {
         assert!(start < end, "empty or inverted range {start:#x}..{end:#x}");
-        self.widening((start, end), |sess, lock, (lo, hi)| {
-            let mut escaped = None;
-            let affected = self.tree.cut_span_with(sess, lock.scratch(), |floor| {
-                let (cut, reach) = Self::plan_cut(floor, start, end)?;
-                if cut.lo < lo || reach > hi {
-                    // The affected regions reach past the held span: cut
-                    // nothing, and retry holding all of them.
-                    escaped = Some((cut.lo, reach));
-                    return None;
-                }
-                Some(cut)
-            });
-            escaped.map_or(Ok(affected), Err)
+        self.cut(|floor| {
+            Self::plan_cut(floor, start, end)
+                .map(|cut| (cut, ()))
+                .ok_or(())
         })
+        .1
     }
 
     /// The [`Cut`] that unmaps `[start, end)` from the version `floor`
-    /// reads, with the end of the byte extent it affects, or `None` if the
-    /// span touches no region. Every affected region lies between two
-    /// probes: the head straddler (the region before `start` reaching past
-    /// it), which comes back trimmed as `first`, and the last region
-    /// starting before `end`, whose piece past `end` comes back as `last` —
-    /// or the head's, when the head encloses the span. The cut's `lo` is
-    /// where the extent starts.
+    /// reads, or `None` if the span touches no region. Every affected
+    /// region lies between two probes: the head straddler (the region
+    /// before `start` reaching past it), which comes back trimmed as
+    /// `first`, and the last region starting before `end`, whose piece
+    /// past `end` comes back as `last` — or the head's, when the head
+    /// encloses the span.
     fn plan_cut(
         floor: &Floor<'_, u64, Extent<V>>,
         start: u64,
         end: u64,
-    ) -> Option<(Cut<u64, Extent<V>>, u64)> {
+    ) -> Option<Cut<u64, Extent<V>>> {
         let piece = |end, x: &Extent<V>| Extent {
             end,
             value: x.value.clone(),
@@ -448,18 +473,12 @@ where
             .filter(|(_, x)| x.end > start);
         let last = floor(&(end - 1)).filter(|&(&s, _)| s >= start);
         let (&hi, src) = last.or(head)?;
-        let lo = head.map_or(start, |(&a, _)| a);
-        let first = head.map(|(_, x)| piece(start, x));
-        let last = (src.end > end).then(|| (end, piece(src.end, src)));
-        Some((
-            Cut {
-                lo,
-                hi,
-                first,
-                last,
-            },
-            end.max(src.end),
-        ))
+        Some(Cut {
+            lo: head.map_or(start, |(&a, _)| a),
+            hi,
+            first: head.map(|(_, x)| piece(start, x)),
+            last: (src.end > end).then(|| (end, piece(src.end, src))),
+        })
     }
 
     /// Finds the region containing `addr` (the page-fault path). Lock-free;
@@ -539,15 +558,17 @@ where
 
 impl<V> Drop for RangeMap<V> {
     fn drop(&mut self) {
-        // The pooled scratches' pending retire lists go onto the tree's
-        // writer scratch, whose list the tree's drop (next, as a field)
-        // retires with its root release through the backend and its
-        // cached recycler — one family, so any of its arenas may recycle
-        // any of its blocks. `&mut self` means no writer holds a span, so
-        // every scratch is pooled and no stripe needs locking.
+        // The slots' pending retire lists go onto the tree's writer
+        // scratch, whose list the tree's drop (next, as a field) retires
+        // with its root release through the backend and its cached
+        // recycler — one family, so any of its arenas may recycle any of
+        // its blocks. `&mut self` means no writer holds a slot.
         let writer = self.tree.writer_mut();
-        for scratch in self.locks.pooled_mut() {
-            writer.adopt_pending(scratch);
+        for slot in self.slots.iter_mut() {
+            let scratch = slot.scratch.get_mut().unwrap_or_else(|e| e.into_inner());
+            if let Some(scratch) = scratch {
+                writer.adopt_pending(scratch);
+            }
         }
     }
 }
@@ -556,7 +577,7 @@ impl<V> fmt::Debug for RangeMap<V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RangeMap")
             .field("tree", &self.tree)
-            .field("locks", &self.locks)
+            .field("writer_slots", &self.slots.len())
             .finish_non_exhaustive()
     }
 }
@@ -611,11 +632,11 @@ mod tests {
     }
 
     /// The write path's pay-as-you-go contract: an uncontended
-    /// `map`/`unmap` on a never-forked map notifies no condvar, takes no
-    /// commit gate and performs no reference-count RMW (all three are
-    /// debug-build censuses; release builds read 0 throughout). The first
-    /// fork switches the counting protocol on for both lineages — and
-    /// still wakes nobody.
+    /// `map`/`unmap` on a never-forked map waits for no writer slot, takes
+    /// no commit gate and performs no reference-count RMW (the last two
+    /// are debug-build censuses; release builds read 0 throughout). The
+    /// first fork switches the counting protocol on for both lineages —
+    /// and still makes nobody wait.
     #[test]
     fn uncontended_churn_wakes_nobody_and_pays_no_sharing_cost() {
         use crate::tree::sharing_ops;
@@ -629,11 +650,11 @@ mod tests {
             assert!(m.map(start, start + 0x1000, 7));
             assert_eq!(m.unmap(start), Some(7));
         }
-        assert_eq!(m.locks.wakes(), 0, "uncontended releases woke a stripe");
+        assert_eq!(m.slot_waits(), 0, "an uncontended writer waited");
         assert_eq!(sharing_ops(), before, "a never-forked map paid for sharing");
 
         let child = m.fork();
-        assert_eq!(m.locks.wakes(), 0, "a quiet fork woke a stripe");
+        assert_eq!(m.slot_waits(), 0, "a quiet fork made a writer wait");
         let forked = sharing_ops();
         assert!(m.map(0x2000, 0x3000, 7));
         assert!(child.map(0x2000, 0x3000, 8));
@@ -643,7 +664,36 @@ mod tests {
                 "forked lineages skipped the accounting"
             );
         }
-        assert_eq!(m.locks.wakes() + child.locks.wakes(), 0);
+        assert_eq!(m.slot_waits() + child.slot_waits(), 0);
+    }
+
+    /// A thread is lent the same slot, so the same scratch, on every
+    /// write; a second thread writing while the first holds its slot takes
+    /// the other one instead of waiting; a fork builds no scratch.
+    #[test]
+    fn writers_keep_their_slot_and_a_fork_builds_no_scratch() {
+        let m: RangeMap<u32> = RangeMap::with_slots(ReclaimBackend::Epoch(Collector::new()), 2);
+        assert_eq!(m.writer_slots(), 2);
+        for i in 0..100u64 {
+            assert!(m.map(i * 0x2000, i * 0x2000 + 0x1000, 1));
+        }
+        assert_eq!(m.built_writer_scratches(), 1, "one thread, two scratches");
+        let child = m.fork();
+        assert_eq!(
+            child.built_writer_scratches(),
+            0,
+            "the fork built a scratch"
+        );
+        let held = m.slot();
+        std::thread::scope(|s| {
+            s.spawn(|| assert!(m.map(0x1000, 0x2000, 2)))
+                .join()
+                .unwrap();
+        });
+        drop(held);
+        assert_eq!(m.built_writer_scratches(), 2);
+        assert_eq!(m.slot_waits(), 0, "a writer waited with a slot free");
+        assert_eq!(child.len(), 100);
     }
 
     #[test]
@@ -808,8 +858,8 @@ mod tests {
 
     /// A `V::clone` panicking mid-rebuild must be contained: the aborted
     /// attempt's speculative nodes are freed on unwind (`DrainOnUnwind`),
-    /// the pooled scratch returns clean, the tree is unchanged, and later
-    /// writers proceed — the pooled-scratch replacement for the old writer
+    /// the slot's scratch returns clean, the tree is unchanged, and later
+    /// writers proceed — the slot scratch's replacement for the old writer
     /// mutex's poisoning. Without the drain, a release build's next commit
     /// would defer the aborted attempt's still-published replaced nodes
     /// (use-after-free); a debug build would fire the is-drained assert.
@@ -851,7 +901,8 @@ mod tests {
 
     /// Dropping the map while retirements are still waiting out their
     /// grace period must be safe even when retired blocks were allocated
-    /// by a *different* pooled scratch than the one that retired them:
+    /// by a *different* scratch than the one that retired them (a forked
+    /// child retiring nodes its parent's slot allocated):
     /// the pending batch pins its recycler arena, which pins the family
     /// chunk store, so every block's backing chunk stays alive until the
     /// collector's final drain fires the batch. (Regression test for a
@@ -865,18 +916,25 @@ mod tests {
             // A long-lived reader pin keeps every retirement queued.
             let outer = collector.register();
             let pin = outer.pin();
-            // Churn through *many* sequential writer sessions; scratches
-            // cycle through stripe pools, so later sessions retire nodes
-            // earlier sessions' arenas allocated.
-            for round in 0..8u64 {
-                for slot in 0..64u64 {
-                    let start = slot * 0x4000;
-                    if m.unmap(start).is_none() {
-                        assert!(m.map(start, start + 0x2000, round));
+            // Churn through *many* sequential writer sessions, then fork:
+            // the child's slot scratch retires nodes the parent's
+            // allocated, and the parent keeps churning alongside.
+            let churn = |m: &RangeMap<u64>| {
+                for round in 0..8u64 {
+                    for slot in 0..64u64 {
+                        let start = slot * 0x4000;
+                        if m.unmap(start).is_none() {
+                            assert!(m.map(start, start + 0x2000, round));
+                        }
                     }
                 }
-            }
+            };
+            churn(&m);
+            let child = m.fork();
+            churn(&child);
+            churn(&m);
             drop(pin);
+            drop(child);
             // Map (and all its arenas' handles) drop here with batches
             // still pending on the collector.
         }
@@ -890,7 +948,7 @@ mod tests {
     }
 
     /// A `V::clone` panicking anywhere inside `unmap_range` leaves the map
-    /// exactly as it was, with no range lock held: every clone runs before
+    /// exactly as it was, with no writer slot held: every clone runs before
     /// the one commit. The fuse blows at each clone index in turn, on an
     /// enclosing split and on a head + inside + tail span.
     #[test]
@@ -949,7 +1007,7 @@ mod tests {
                     break;
                 }
                 assert_eq!(contents(&m), regions, "clone {blow_at} changed the map");
-                assert_eq!(m.held_range_locks(), 0, "clone {blow_at} leaked its lock");
+                assert_eq!(m.held_writer_slots(), 0, "clone {blow_at} kept its slot");
                 assert_eq!(m.unmap_range(span.0, span.1), affected);
                 assert_eq!(contents(&m), after);
                 m.collector().synchronize();
@@ -959,8 +1017,8 @@ mod tests {
         }
     }
 
-    /// The map's pooled writer scratches (distinct from the tree's, which
-    /// the range-locked entry points bypass) must stop growing on a
+    /// The map's slot scratches (distinct from the tree's, which the map's
+    /// entry points bypass) must stop growing on a
     /// steady-state map/unmap churn — the `RangeMap` half of the
     /// writer-path allocation diet.
     #[test]

@@ -65,17 +65,17 @@
 //! * Updates ([`insert`](BonsaiTree::insert),
 //!   [`remove`](BonsaiTree::remove)) serialize on an internal writer mutex,
 //!   mirroring the paper's single-writer address-space lock. The *commit*
-//!   itself, though, is a CAS-with-retry ([`BonsaiTree::insert_with`] /
-//!   [`BonsaiTree::remove_with`]), so crate-internal callers that provide
-//!   their own finer-grained serialization — `RangeMap`'s range locks —
-//!   may run several writers concurrently: a failed CAS frees the
-//!   never-published speculative path and rebuilds from the new root.
-//!   ABA on the root pointer is impossible because the write session
-//!   protects the load→CAS window per backend: an epoch writer holds a
-//!   pinned guard (the snapshot root cannot be freed, let alone
-//!   reallocated, until it drops), and hybrid writers are serialized
-//!   outright by the gate, so the root cannot change at all. See
-//!   `docs/CONCURRENCY.md` at the repo root for the full protocol
+//!   itself, though, is a CAS-with-retry ([`BonsaiTree::cut_span_with`]),
+//!   so `RangeMap` runs several writers concurrently with no lock between
+//!   them: each writer holds only its own scratch, the root CAS alone
+//!   orders their commits, and a failed CAS frees the never-published
+//!   speculative path and re-plans from the new root — the plan, and any
+//!   decision it takes, included. ABA on the root pointer is impossible
+//!   because the write session protects the load→CAS window per backend:
+//!   an epoch writer holds a pinned guard (the snapshot root cannot be
+//!   freed, let alone reallocated, until it drops), and hybrid writers are
+//!   serialized outright by the gate, so the root cannot change at all.
+//!   See `docs/CONCURRENCY.md` at the repo root for the full protocol
 //!   walkthrough.
 
 use std::cmp::Ordering as Cmp;
@@ -119,7 +119,7 @@ pub(crate) struct Node<K, V> {
     /// writer's pending list for that list's next hand-off to the backend,
     /// like every replaced node.) On a never-forked tree the node is born at
     /// 1, its final count. Either way the count is never read to decide
-    /// whether a node is *fresh*: a concurrent range-locked writer may
+    /// whether a node is *fresh*: a concurrent `RangeMap` writer may
     /// rebuild from a root whose publisher has not yet run its post-CAS
     /// code, so freshness is decided from the builder's own scratch.
     rc: AtomicUsize,
@@ -263,8 +263,8 @@ unsafe fn account<K, V>(n: *mut Node<K, V>) {
 }
 
 /// Writer-owned scratch state, only reachable while holding a writer lock
-/// (the tree's internal mutex, or one of `RangeMap`'s range locks, whose
-/// manager pools one scratch per concurrently held lock).
+/// (the tree's internal mutex, or one of `RangeMap`'s writer slots, each
+/// of which holds one scratch).
 ///
 /// The `fresh` and `replaced` buffers are the CAS-retry bookkeeping of one
 /// attempt, `pending` is what committed attempts left to retire, and
@@ -337,7 +337,7 @@ impl<K, V> WriterScratch<K, V> {
 
     /// A scratch joining an existing arena family: its nodes live in
     /// `store`, shared with every sibling scratch of the same owner —
-    /// which is what lets retired blocks migrate between pooled scratches
+    /// which is what lets retired blocks migrate between sibling scratches
     /// while any pending batch (pinning its arena, pinning the store)
     /// keeps every block's chunk alive. See `crate::arena`.
     pub(crate) fn with_store(store: Arc<ChunkStore<Node<K, V>>>) -> Self {
@@ -378,7 +378,7 @@ impl<K, V> WriterScratch<K, V> {
     }
 
     /// Moves `other`'s pending retire list onto this one's — how a map
-    /// being dropped hands its pooled scratches' lists to its tree, whose
+    /// being dropped hands its writer slots' lists to its tree, whose
     /// drop retires them with its own. Both scratches must belong to one
     /// arena family (any family arena may recycle any family block).
     pub(crate) fn adopt_pending(&mut self, other: &mut Self) {
@@ -684,8 +684,8 @@ impl WriteSess<'_> {
 /// protection established, in the only safe order for a writer entry
 /// point (stated for the epoch backend):
 ///
-/// 1. lock first, pin second — a writer queued on a mutex or blocked on a
-///    range lock must not hold a pin, or its wait would stall epoch advance
+/// 1. lock first, pin second — a writer queued on a mutex or waiting for a
+///    writer slot must not hold a pin, or its wait would stall epoch advance
 ///    (and all reclamation) for the whole collector;
 /// 2. the pin is housekeeping-free ([`Collector::pin_quiet`]) — pin-time
 ///    cache eviction can fire deferred callbacks, and one re-entering a
@@ -700,14 +700,14 @@ impl WriteSess<'_> {
 ///
 /// On the hybrid backend the protection is the per-tree writer gate
 /// ([`BonsaiTree`]'s `hybrid_gate`), taken **before** `acquire` so the
-/// lock order gate → writer-mutex/stripe-locks is identical on every path.
+/// lock order gate → writer mutex / writer slot is identical on every path.
 ///
 /// Every writer entry point — the tree's mutex path
 /// ([`BonsaiTree::insert`]/[`BonsaiTree::remove`]) and `RangeMap`'s
-/// range-locked path — must go through here so the ordering invariants
-/// cannot be broken in one call site. The lock token `T` is whatever RAII
-/// guard `acquire` produces: a `MutexGuard` over the tree's
-/// [`WriterScratch`], or a `RangeWriteGuard` carrying a pooled scratch.
+/// slot path — must go through here so the ordering invariants cannot be
+/// broken in one call site. The lock token `T` is whatever RAII guard
+/// `acquire` produces: a `MutexGuard` over the tree's [`WriterScratch`],
+/// over a writer slot, or over every slot (`RangeMap::fork`).
 pub(crate) fn with_write_session<K, V, T, R>(
     tree: &BonsaiTree<K, V>,
     acquire: impl FnOnce() -> T,
@@ -736,8 +736,8 @@ pub(crate) fn with_write_session<K, V, T, R>(
         }
         ReclaimBackend::Hybrid(d) => {
             // Gate before `acquire`: the one lock order every hybrid
-            // writer path shares (gate → writer mutex, gate → stripe
-            // locks), so the gate can never deadlock against the caller's
+            // writer path shares (gate → writer mutex, gate → writer
+            // slots), so the gate can never deadlock against the caller's
             // locks. Readers run their own pin/protect protocol against
             // the domain.
             let gate = tree.hybrid_gate.lock().unwrap_or_else(|e| e.into_inner());
@@ -766,10 +766,10 @@ pub(crate) fn with_write_session<K, V, T, R>(
 ///   address-space lock — rebuild the root-to-site path copy-on-write,
 ///   publish the new root by CAS, and only then queue the replaced nodes
 ///   for retirement; the queue goes to the collector for grace-period
-///   reclamation a chunk at a time. The CAS commit makes
-///   the crate-internal entry points safe under *concurrent* writers
-///   (`RangeMap` runs them under per-span range locks); only the public
-///   `insert`/`remove` pair takes the serializing mutex.
+///   reclamation a chunk at a time. The CAS commit makes the
+///   crate-internal `cut_span_with` safe under *concurrent* writers
+///   (`RangeMap` runs it from every writer slot at once); only the
+///   public `insert`/`remove` pair takes the serializing mutex.
 pub struct BonsaiTree<K, V> {
     root: AtomicPtr<Node<K, V>>,
     /// Serializes writers (the paper's per-address-space update lock) and
@@ -794,7 +794,7 @@ pub struct BonsaiTree<K, V> {
     /// cascade must not run before version N's accounting has counted the
     /// links holding N's nodes up. Held only across CAS → account/release
     /// (O(path)); the expensive speculative rebuild stays outside it, so
-    /// disjoint `RangeMap` writers still overlap where it matters. A
+    /// concurrent `RangeMap` writers still overlap where it matters. A
     /// *leaf* lock: nothing is acquired while it is held. Taken only once
     /// the tree is `shared`: an unshared tree's commits touch no count, so
     /// there is no accounting to order.
@@ -850,7 +850,7 @@ where
     /// Creates an empty tree over `backend` whose mutex-owned writer
     /// scratch is `scratch` — the seam that lets `RangeMap` put the
     /// tree's scratch in the same arena family ([`ChunkStore`]) as its
-    /// pooled range-lock scratches, and lets [`Self::fork_in`] put a
+    /// writer slots' scratches, and lets [`Self::fork_in`] put a
     /// child lineage in its parent's.
     pub(crate) fn with_scratch(backend: ReclaimBackend, scratch: WriterScratch<K, V>) -> Self {
         let recycler = scratch.arena.recycler();
@@ -891,11 +891,11 @@ where
     }
 
     /// [`fork`](Self::fork) against a caller-provided scratch and write
-    /// session — for `RangeMap`, whose fork runs under a full-range lock.
+    /// session — for `RangeMap`, whose fork runs holding every writer slot.
     ///
     /// The caller must hold, for the duration of the call, whatever lock
-    /// excludes this tree's committers (the writer mutex, or every range
-    /// lock): that is what makes the loaded root current and keeps its
+    /// excludes this tree's committers (the writer mutex, or every writer
+    /// slot): that is what makes the loaded root current and keeps its
     /// root reference from being released while the child takes its own.
     /// `scratch` must belong to the parent's arena family — the child's
     /// deferred batches may carry blocks holding nodes the parent
@@ -1006,25 +1006,32 @@ where
     }
 
     /// Records one failed root-CAS commit (`wasted` speculative nodes
-    /// discarded) and applies bounded exponential backoff from the second
-    /// consecutive failure of one update on: 2^(failures - 2) spin hints,
-    /// capped at 64. The first retry stays free — losing one race is the
-    /// normal two-writer case and a delay would only add latency — while a
-    /// write storm's repeated losers progressively yield the root's cache
-    /// line instead of rebuilding whole paths just to lose again.
-    /// `failures` counts this update's failures so far, starting at 1.
-    fn note_cas_failure(&self, failures: u32, wasted: usize) {
+    /// discarded) and applies bounded exponential backoff from the fourth
+    /// consecutive failure of one update on: 2^(failures - 4) spin hints,
+    /// capped at 64. The first three retries stay free: with writers
+    /// ordered by the root CAS alone, losing a few races in a row is the
+    /// normal two-writer case, and a spin there only moves the loser's
+    /// next attempt into the winner's next commit (on a 2-vCPU Xeon,
+    /// `mmap-churn`'s two-thread `mutate_p99_ns` read 3.5–7.6 µs in three
+    /// runs spinning from the second failure on, 2.7–3.9 µs from the
+    /// fourth). A write storm's repeated losers still
+    /// progressively yield the root's cache line instead of rebuilding
+    /// whole paths just to lose again. `failures` counts this update's
+    /// failures so far, starting at 1. Returns whether it backed off.
+    fn note_cas_failure(&self, failures: u32, wasted: usize) -> bool {
         // ordering: Relaxed (both) — telemetry counters on the commit
         // retry path; nothing is published through them, and a SeqCst RMW
         // here would put two full barriers inside the contention loop.
         self.cas_retries.fetch_add(1, Ordering::Relaxed);
         self.cas_wasted.fetch_add(wasted as u64, Ordering::Relaxed);
-        if failures >= 2 {
-            let spins = 1u32 << (failures - 2).min(6);
-            for _ in 0..spins {
-                std::hint::spin_loop();
-            }
+        if failures < 4 {
+            return false;
         }
+        let spins = 1u32 << (failures - 4).min(6);
+        for _ in 0..spins {
+            std::hint::spin_loop();
+        }
+        true
     }
 
     /// Number of keys in the tree.
@@ -1275,59 +1282,30 @@ where
         self.read_map(key, Probe::Ge, |k, v| (k.clone(), v.clone()))
     }
 
-    /// [`get_le`](Self::get_le) under a checked write session — for writer
-    /// paths (`RangeMap`) that read while already holding their backend's
-    /// write-side protection. The references are valid for the shorter of
-    /// the session and the tree borrow.
-    pub(crate) fn get_le_in<'t>(&'t self, key: &K, sess: &WriteSess<'_>) -> Option<(&'t K, &'t V)> {
-        self.check_sess(sess);
-        // Safety: a checked session protects the traversal on either
-        // backend (pin / writer gate — see `WriteSess`).
-        let n = unsafe { self.find(key, Probe::Le) };
-        // Safety: `n` stays live for the session.
-        (!n.is_null()).then(|| unsafe { (&(*n).key, &(*n).value) })
-    }
-
     /// Inserts `key -> value`, returning the previous value for `key` if it
     /// was present. Takes the writer lock.
     pub fn insert(&self, key: K, value: V) -> Option<V> {
         with_write_session(
             self,
             || self.writer.lock().unwrap_or_else(|e| e.into_inner()),
-            |sess, w| self.insert_with(key, value, sess, &mut **w),
+            |sess, w| {
+                self.publish(sess, w, |root, scratch| {
+                    let cut = Cut {
+                        lo: key.clone(),
+                        hi: key.clone(),
+                        first: Some(value.clone()),
+                        last: None,
+                    };
+                    // Safety: `root` was published and the write session
+                    // keeps every node reachable from it live and immutable.
+                    let (new_root, hit) = unsafe { Self::cut_rec(root, cut, scratch) };
+                    // Safety: the hit is null or a node of `root`, still
+                    // published.
+                    let old = unsafe { hit.as_ref() }.map(|n| n.value.clone());
+                    Ok((new_root, isize::from(old.is_none()), old))
+                })
+            },
         )
-    }
-
-    /// [`insert`](Self::insert) against a caller-provided scratch, for
-    /// writer paths with their own serialization (`RangeMap`'s range
-    /// locks) — or none: the commit is a CAS-with-retry
-    /// ([`publish`](Self::publish)), so concurrent calls are *safe* (no
-    /// torn roots, no double retire), they merely contend on the root.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sess` belongs to a different backend or domain.
-    pub(crate) fn insert_with(
-        &self,
-        key: K,
-        value: V,
-        sess: &WriteSess<'_>,
-        scratch: &mut WriterScratch<K, V>,
-    ) -> Option<V> {
-        self.publish(sess, scratch, |root, scratch| {
-            let cut = Cut {
-                lo: key.clone(),
-                hi: key.clone(),
-                first: Some(value.clone()),
-                last: None,
-            };
-            // Safety: `root` was published and the write session keeps
-            // every node reachable from it live and immutable.
-            let (new_root, hit) = unsafe { Self::cut_rec(root, cut, scratch) };
-            // Safety: the hit is null or a node of `root`, still published.
-            let old = unsafe { hit.as_ref() }.map(|n| n.value.clone());
-            Ok((new_root, isize::from(old.is_none()), old))
-        })
     }
 
     /// Removes `key`, returning its value if it was present. Takes the
@@ -1336,58 +1314,51 @@ where
         with_write_session(
             self,
             || self.writer.lock().unwrap_or_else(|e| e.into_inner()),
-            |sess, w| self.remove_with(key, sess, &mut **w),
+            |sess, w| {
+                self.publish(sess, w, |root, scratch| {
+                    let cut = Cut {
+                        lo: key.clone(),
+                        hi: key.clone(),
+                        first: None,
+                        last: None,
+                    };
+                    // Safety: as in `insert`.
+                    let (new_root, hit) = unsafe { Self::cut_rec(root, cut, scratch) };
+                    // Safety: as in `insert`.
+                    match unsafe { hit.as_ref() } {
+                        // A miss rebuilds nothing and therefore replaces
+                        // nothing; the answer is valid as of the root
+                        // load, no CAS needed.
+                        None => Err(None),
+                        Some(old) => Ok((new_root, -1, Some(old.value.clone()))),
+                    }
+                })
+            },
         )
     }
 
-    /// [`remove`](Self::remove) against a caller-provided scratch; same
-    /// CAS-with-retry contract as [`Self::insert_with`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sess` belongs to a different backend or domain.
-    pub(crate) fn remove_with(
-        &self,
-        key: &K,
-        sess: &WriteSess<'_>,
-        scratch: &mut WriterScratch<K, V>,
-    ) -> Option<V> {
-        self.publish(sess, scratch, |root, scratch| {
-            let cut = Cut {
-                lo: key.clone(),
-                hi: key.clone(),
-                first: None,
-                last: None,
-            };
-            // Safety: as in `insert_with`.
-            let (new_root, hit) = unsafe { Self::cut_rec(root, cut, scratch) };
-            // Safety: as in `insert_with`.
-            match unsafe { hit.as_ref() } {
-                // A miss rebuilds nothing and therefore replaces nothing;
-                // the answer is valid as of the root load, no CAS needed.
-                None => Err(None),
-                Some(old) => Ok((new_root, -1, Some(old.value.clone()))),
-            }
-        })
-    }
-
-    /// Cuts a span out of the tree in one publication: `plan` reads the
-    /// version the attempt was handed and returns the [`Cut`] to make, or
-    /// `None` to publish nothing (the span touches nothing, say). A
+    /// Cuts a span out of the tree in one publication, deciding inside
+    /// the rebuild: `plan` reads the version the attempt was handed and
+    /// returns the [`Cut`] to make with the operation's own result, or
+    /// `Err(result)` to publish nothing (a refused map, a missed unmap). A
     /// retry after a lost CAS re-plans from the winner's root, so no entry
-    /// read before the commit outlives it. Returns the number of keys in
-    /// `lo..=hi`, which all left the tree (`first` puts one back). Same
-    /// CAS-with-retry contract as [`Self::insert_with`].
+    /// read — and no decision taken on it — outlives the commit: the check
+    /// and the act publish together or not at all, and a plan that
+    /// publishes nothing linearizes at the root load it read. Returns the
+    /// result with the number of keys in `lo..=hi`, which all left the
+    /// tree (`first` puts one back; 0 when nothing was published). Sound
+    /// under concurrent writers with no lock: the commit is a
+    /// CAS-with-retry ([`publish`](Self::publish)).
     ///
     /// # Panics
     ///
     /// Panics if `sess` belongs to a different backend or domain.
-    pub(crate) fn cut_span_with(
+    pub(crate) fn cut_span_with<R>(
         &self,
         sess: &WriteSess<'_>,
         scratch: &mut WriterScratch<K, V>,
-        mut plan: impl FnMut(&Floor<'_, K, V>) -> Option<Cut<K, V>>,
-    ) -> usize {
+        mut plan: impl FnMut(&Floor<'_, K, V>) -> Result<(Cut<K, V>, R), R>,
+    ) -> (R, usize) {
         self.publish(sess, scratch, |root, scratch| {
             let floor = |key: &K| {
                 // Safety: the write session keeps every node reachable from
@@ -1395,14 +1366,12 @@ where
                 let n = unsafe { Self::walk_from(root, key, Probe::Le).as_ref() };
                 n.map(|n| (&n.key, &n.value))
             };
-            let Some(cut) = plan(&floor) else {
-                return Err(0);
-            };
+            let (cut, out) = plan(&floor).map_err(|out| (out, 0))?;
             let restored = isize::from(cut.first.is_some()) + isize::from(cut.last.is_some());
-            // Safety: as in `insert_with`.
+            // Safety: as in `insert`.
             let (new_root, _) = unsafe { Self::cut_rec(root, cut, scratch) };
             let delta = Self::size_of(new_root) as isize - Self::size_of(root) as isize;
-            Ok((new_root, delta, (restored - delta) as usize))
+            Ok((new_root, delta, (out, (restored - delta) as usize)))
         })
     }
 
@@ -1438,7 +1407,7 @@ where
         // Unwind safety: if a K/V clone or an allocation panics
         // mid-rebuild, the scratch holds a half-built speculative path.
         // The old mutex-owned scratch was covered by lock poisoning;
-        // `RangeMap`'s pooled scratches are not, and lending a dirty
+        // `RangeMap`'s slot scratches are not, and lending a dirty
         // scratch to the next writer would leak those nodes (or worse,
         // retire a node still in the tree). Discard on the way out
         // instead.
@@ -1511,8 +1480,16 @@ where
                     let wasted = scratch.0.fresh.len();
                     // Safety: the CAS failed, so `fresh` is unpublished.
                     unsafe { scratch.0.discard() };
-                    self.note_cas_failure(failures, wasted);
-                    root = current;
+                    root = if self.note_cas_failure(failures, wasted) {
+                        // ordering: Acquire — publication pairing, as at
+                        // the first load: a writer that backed off re-plans
+                        // from the root as it is now, not the one its CAS
+                        // saw before the spin, which a writer committing
+                        // meanwhile has most likely replaced.
+                        self.root.load(Ordering::Acquire)
+                    } else {
+                        current
+                    };
                 }
             }
         }
@@ -2001,7 +1978,7 @@ where
 
 impl<K, V> BonsaiTree<K, V> {
     /// The mutex-owned writer scratch, reached through `&mut self` (no
-    /// lock): how a map being dropped moves its pooled scratches' pending
+    /// lock): how a map being dropped moves its writer slots' pending
     /// lists onto the one this tree's drop retires.
     pub(crate) fn writer_mut(&mut self) -> &mut WriterScratch<K, V> {
         self.writer.get_mut().unwrap_or_else(|e| e.into_inner())
@@ -2020,7 +1997,7 @@ impl<K, V> Drop for BonsaiTree<K, V> {
         // like any commit's. `&mut self` guarantees only that *this*
         // tree has no readers or writers left. The writer scratch's
         // pending list (plus whatever a dropping `RangeMap` moved onto
-        // it from its pooled scratches) rides in the same batch.
+        // it from its writer slots) rides in the same batch.
         let mut batch = std::mem::take(&mut self.writer_mut().pending);
         // ordering: Relaxed — `&mut self` proves exclusive access, so no
         // concurrent writer exists (and loomette's atomics have no
@@ -2208,13 +2185,17 @@ mod tests {
             || t.writer.lock().unwrap(),
             |sess, w| {
                 t.cut_span_with(sess, w, |_| {
-                    Some(Cut {
-                        lo,
-                        hi,
-                        first,
-                        last,
-                    })
+                    Ok((
+                        Cut {
+                            lo,
+                            hi,
+                            first,
+                            last,
+                        },
+                        (),
+                    ))
                 })
+                .1
             },
         )
     }

@@ -1,9 +1,9 @@
 //! The zero-allocation write path, measured at the global allocator.
 //!
 //! The tentpole claim is that a steady-state `RangeMap` churn performs
-//! **zero heap allocations per update** once the arenas, scratch buffers,
-//! stripe tables, and collector bag pools are warm: node blocks come from
-//! the per-lock slab arena (recycled through grace periods), the retire
+//! **zero heap allocations per update** once the arenas, scratch buffers
+//! and collector bag pools are warm: node blocks come from the writer
+//! slot's slab arena (recycled through grace periods), the retire
 //! batch travels as an allocation-free `Recycle` deferred with a pooled
 //! buffer, and every `Vec` on the path keeps its capacity when it
 //! empties. This binary installs a counting `GlobalAlloc` and asserts
@@ -166,12 +166,14 @@ fn steady_state_churn_allocates_nothing() {
     assert!(stats.objects_retired > 0);
 }
 
-/// The same property with the arena's two-level free list under load: a
-/// never-forked map churning inside *one* slab keeps one pooled scratch,
-/// so every block it retires comes back through that arena's shared list
-/// and is taken, a whole list at a time, onto its private stack. Once
-/// warm that loop touches the heap zero times, the family's chunk count
-/// stays flat, and the block ledger balances: blocks in use == regions.
+/// The same property with the arena's recycle path under load: a
+/// never-forked map written by one thread keeps one slot scratch, so
+/// every block it retires comes back parked on that arena and is served,
+/// a batch at a time, to its next allocations (speculative blocks via its
+/// private stack). Once warm that loop touches the heap zero times — the
+/// batch buffers cycle pending → parked → pool → pending — the family's
+/// chunk count stays flat, and the block ledger balances: blocks in use
+/// == regions.
 #[cfg_attr(miri, ignore)]
 #[test]
 fn never_forked_churn_recirculates_through_the_private_stack() {
@@ -307,9 +309,11 @@ fn fork_allocates_o_depth_not_o_n() {
     assert_eq!(stats.objects_retired, stats.objects_freed);
 }
 
-/// Same bound one layer up: `RangeMap::fork` is O(stripes) (the child's
-/// pooled per-stripe scratches), never O(regions) — a 100k-region map
-/// forks with the same allocation count as a 100-region one.
+/// Same bound one layer up: `RangeMap::fork` is O(writer slots) (the
+/// child's slot table and the guards the fork holds), never O(regions) —
+/// a 100k-region map forks with the same allocation count as a
+/// 100-region one — and builds no slot scratch: a child's scratches are
+/// built by its first writes.
 #[cfg_attr(miri, ignore)]
 #[test]
 fn range_map_fork_allocates_o_stripes_not_o_regions() {
@@ -338,13 +342,18 @@ fn range_map_fork_allocates_o_stripes_not_o_regions() {
         big_fork_allocs, small_fork_allocs,
         "map fork cost depends on region count ({big_fork_allocs} vs {small_fork_allocs} allocs)"
     );
-    // Stripe-proportional slack: scratches, lock table, tree handle.
-    let bound = 16 * big.lock_stripes() as u64 + 64;
+    // Slot-proportional slack: slot table, held guards, tree handle.
+    let bound = 16 * big.writer_slots() as u64 + 64;
     assert!(
         big_fork_allocs <= bound,
         "forking a 100k-region map allocated {big_fork_allocs} times (> {bound})"
     );
 
+    assert_eq!(
+        big_child.built_writer_scratches(),
+        0,
+        "the fork built a scratch"
+    );
     assert_eq!(big_child.len(), 100_000);
     assert!(big_child.unmap(0).is_some());
     assert!(big.contains(0), "child unmap leaked into the parent");

@@ -12,7 +12,7 @@
 //! * a panicked tree update or map operation (`unmap_range` included)
 //!   left its structure in exactly the pre-op or post-op state — never
 //!   torn, never violating the tree invariants;
-//! * a panicked map operation leaked no range lock and lent the next
+//! * a panicked map operation kept no writer slot and lent the next
 //!   writer a clean scratch (the next operation simply proceeds);
 //! * after teardown the backend drains to `retired == freed`, objects
 //!   and bytes — no leak, no double free, on both backends.
@@ -391,13 +391,13 @@ fn run_map_chaos(backend: ReclaimBackend, seed: u64, steps: u64, per_mille: u32)
                 assert_eq!(map.lookup_owned(addr), expect, "{kind} step {step}: lookup");
             }
         }
-        // No panicked writer may leak its span: the lock table must be
-        // empty whenever no operation is in flight.
+        // No panicked writer may keep its slot: every slot must be free
+        // whenever no operation is in flight.
         for (map, _) in &lineages {
             assert_eq!(
-                map.held_range_locks(),
+                map.held_writer_slots(),
                 0,
-                "{kind} step {step}: leaked range lock"
+                "{kind} step {step}: a writer slot stayed held"
             );
         }
         if step % 128 == 0 {
@@ -422,7 +422,7 @@ fn run_map_chaos(backend: ReclaimBackend, seed: u64, steps: u64, per_mille: u32)
         assert!(map.map(s, s + PAGE, 1));
         model.insert(s, (s + PAGE, 1));
         assert_eq!(map.to_vec(), map_model_vec(model));
-        assert_eq!(map.held_range_locks(), 0);
+        assert_eq!(map.held_writer_slots(), 0);
     }
     drop(lineages);
     backend.synchronize();
@@ -450,7 +450,7 @@ fn range_map_chaos_is_panic_atomic_on_every_backend() {
 
 /// A fault injected anywhere in a span unmap — at each arena allocation
 /// it makes, or just before its commit — leaves the map byte-identical to
-/// before, with no range lock held; one just after the commit leaves it
+/// before, with no writer slot held; one just after the commit leaves it
 /// byte-identical to after. The span is one publication, so there is no
 /// state in between to leave.
 #[test]
@@ -497,7 +497,11 @@ fn unmap_range_survives_injected_failures_mid_flight() {
         faults::disarm();
         assert!(err.is_err(), "{site}@{hit} did not fire");
         assert_eq!(&m.to_vec(), want, "{site}@{hit} left the map torn");
-        assert_eq!(m.held_range_locks(), 0, "{site}@{hit} leaked a range lock");
+        assert_eq!(
+            m.held_writer_slots(),
+            0,
+            "{site}@{hit} kept its writer slot"
+        );
         // The scratch went back clean: the retry completes the unmap and
         // every arena block is accounted for.
         m.unmap_range(0x2000, 0x7000);
@@ -521,7 +525,7 @@ fn failed_first_allocation_leaves_no_replaced_node_behind() {
     silence_injected_panics();
     let _replay = ReplayOnFailure;
 
-    // The mutex-owned scratch (standalone tree) and a pooled one (map).
+    // The mutex-owned scratch (standalone tree) and a writer slot's (map).
     let tree: BonsaiTree<u64, u64> = BonsaiTree::new(rcukit::Collector::new());
     let map: RangeMap<u64> = RangeMap::new(rcukit::Collector::new());
     for k in 1..=3u64 {
@@ -664,9 +668,9 @@ fn faults_with_a_partial_batch_pending_lose_and_repeat_nothing() {
         let kind = faulted.name();
         let map: RangeMap<u64> = RangeMap::with_backend(faulted.clone());
         let same: RangeMap<u64> = RangeMap::with_backend(twin.clone());
-        // Every span below stays inside the first 64 KiB range-lock slab,
-        // so all of them draw the one pooled scratch the faults must hit
-        // with its partial batch.
+        // One thread writes every span below, so all of them draw its one
+        // writer slot's scratch, which the faults must hit with its
+        // partial batch.
         for m in [&map, &same] {
             for slot in 0..6 {
                 assert!(m.map(slot * 2 * PAGE, slot * 2 * PAGE + PAGE, slot));
@@ -684,7 +688,7 @@ fn faults_with_a_partial_batch_pending_lose_and_repeat_nothing() {
         );
         assert!(same.map(13 * PAGE, 14 * PAGE, 13));
         assert_eq!(map.to_vec(), same.to_vec(), "{kind}");
-        assert_eq!(map.held_range_locks(), 0, "{kind}");
+        assert_eq!(map.held_writer_slots(), 0, "{kind}");
         for i in 0..400 {
             let s = (1 + 2 * (i % 6)) * PAGE;
             for m in [&map, &same] {

@@ -1,9 +1,9 @@
-//! Model-checked range-locked-writer tests: the scenarios in
+//! Model-checked `RangeMap` writer tests: the scenarios in
 //! `tests/scenarios` are explored under all thread interleavings within
-//! loomette's preemption bound — every range-lock table mutex/condvar
-//! operation, tree root CAS, and rcukit protocol atomic is a scheduling
-//! point (see `crates/loomette`, `bonsai/src/sync.rs`, and
-//! `rcukit/src/sync.rs`).
+//! loomette's preemption bound — every writer-slot mutex operation, tree
+//! root CAS, arena list or parked-batch step, and rcukit protocol atomic
+//! is a scheduling point (see `crates/loomette`, `bonsai/src/sync.rs`,
+//! and `rcukit/src/sync.rs`).
 //!
 //! Build and run with:
 //!
@@ -41,9 +41,10 @@ fn loom_parked_waiter_vs_releasing_holder() {
 }
 
 #[test]
-fn loom_opposite_stripe_order_writers() {
-    let runs = loomette::Explorer::default().explore(scenarios::opposite_stripe_order_writers);
-    eprintln!("opposite_stripe_order_writers: {runs} schedules");
+fn loom_overlapping_maps() {
+    let runs = loomette::Explorer::default()
+        .explore(|| scenarios::overlapping_maps(scenarios::Admit::InRebuild));
+    eprintln!("overlapping_maps: {runs} schedules");
     assert!(runs > 500, "exploration degenerated to {runs} schedule(s)");
 }
 
@@ -136,77 +137,29 @@ fn loom_finds_torn_span_when_the_unmap_is_two_calls() {
     }
 }
 
-/// The range-lock release's gated wake, distilled to its three words — a
-/// stripe mutex over "the span is held", the stripe's condvar, and the
-/// `waiting` count — with the count read either where `RangeWriteGuard`'s
-/// drop reads it (inside the critical section that removes the span) or
-/// ahead of the mutex acquisition.
-fn gated_wake_litmus(read_under_mutex: bool) -> impl Fn() + Send + Sync + 'static {
-    use loomette::sync::atomic::AtomicU64;
-    use loomette::sync::{Condvar, Mutex};
-    use loomette::thread::spawn;
-    use std::sync::atomic::Ordering::Relaxed;
-    use std::sync::Arc;
-    move || {
-        let stripe = Arc::new((Mutex::new(true), Condvar::new(), AtomicU64::new(0)));
-        let waiter = {
-            let stripe = Arc::clone(&stripe);
-            spawn(move || {
-                let (held, released, waiting) = &*stripe;
-                let mut span_held = held.lock().unwrap();
-                while *span_held {
-                    // `acquire`'s park: count, wait, uncount — all under
-                    // the stripe mutex.
-                    waiting.fetch_add(1, Relaxed);
-                    span_held = released.wait(span_held).unwrap();
-                    waiting.fetch_sub(1, Relaxed);
-                }
-            })
-        };
-        let (held, released, waiting) = &*stripe;
-        let seen_early = waiting.load(Relaxed) != 0;
-        let parked = {
-            let mut span_held = held.lock().unwrap();
-            *span_held = false;
-            if read_under_mutex {
-                waiting.load(Relaxed) != 0
-            } else {
-                seen_early
-            }
-        };
-        if parked {
-            released.notify_all();
-        }
-        waiter.join().unwrap();
-    }
-}
-
-/// Meta-test: the model tier must be able to *find* the lost wakeup the
-/// gated wake's proof rules out. With the `waiting` read moved ahead of
-/// the stripe-mutex acquisition, a waiter can check, count itself and park
-/// between the read and the span's removal; nobody notifies it, and every
-/// model must report the deadlock. With the read where the code has it,
-/// no schedule of any model parks a thread forever.
+/// Meta-test: the model tier must be able to *see* a double admission.
+/// The same two overlapping maps, each deciding in a probe and committing
+/// in a later insert, admit both in some schedule, and every model must
+/// report it.
 #[test]
-fn loom_finds_lost_wakeup_when_waiting_is_read_outside_the_mutex() {
+fn loom_finds_double_admission_when_the_decision_is_split_from_the_commit() {
     for mem_model in [
         loomette::MemModel::Sc,
         loomette::MemModel::Tso,
         loomette::MemModel::AcqRel,
     ] {
-        let explorer = || loomette::Explorer {
-            preemption_bound: loomette::DEFAULT_PREEMPTION_BOUND,
-            max_runs: loomette::DEFAULT_MAX_RUNS,
-            mem_model,
-            replay: None,
-        };
-        explorer().explore(gated_wake_litmus(true));
         let caught = std::panic::catch_unwind(|| {
-            explorer().explore(gated_wake_litmus(false));
+            loomette::Explorer {
+                preemption_bound: loomette::DEFAULT_PREEMPTION_BOUND,
+                max_runs: loomette::DEFAULT_MAX_RUNS,
+                mem_model,
+                replay: None,
+            }
+            .explore(|| scenarios::overlapping_maps(scenarios::Admit::ProbeThenInsert))
         });
         let msg = match caught {
-            Ok(_) => panic!(
-                "{} exploration missed the lost wakeup of an ungated `waiting` read",
+            Ok(runs) => panic!(
+                "{} exploration missed the double admission in {runs} schedules",
                 mem_model.name()
             ),
             Err(e) => e
@@ -215,8 +168,8 @@ fn loom_finds_lost_wakeup_when_waiting_is_read_outside_the_mutex() {
                 .unwrap_or_else(|| "non-string panic".into()),
         };
         assert!(
-            msg.contains("deadlock"),
-            "{} leg failed for another reason than the lost wakeup: {msg}",
+            msg.contains("double admission"),
+            "{} leg failed for another reason than the double admission: {msg}",
             mem_model.name()
         );
     }

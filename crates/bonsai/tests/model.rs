@@ -1,4 +1,4 @@
-//! Plain-`std` stress mirrors of the model-checked range-locked-writer
+//! Plain-`std` stress mirrors of the model-checked `RangeMap` writer
 //! scenarios (`tests/loom.rs`), so tier-1 covers the same interactions on
 //! every run. Real-thread scheduling noise supplies the interleavings; the
 //! loom tier explores them exhaustively instead.
@@ -32,9 +32,9 @@ fn stress_parked_waiter_vs_releasing_holder() {
 }
 
 #[test]
-fn stress_opposite_stripe_order_writers() {
+fn stress_overlapping_maps() {
     for _ in 0..ITERS {
-        scenarios::opposite_stripe_order_writers();
+        scenarios::overlapping_maps(scenarios::Admit::InRebuild);
     }
 }
 

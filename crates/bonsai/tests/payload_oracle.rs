@@ -139,7 +139,7 @@ fn every_payload_drops_exactly_once_across_map_lineages() {
 
 /// Dropping a map or a tree whose writers have replaced fewer nodes than
 /// one retire chunk: nothing has reached the backend yet, so every
-/// replaced payload is on a pending list — the map's pooled scratches',
+/// replaced payload is on a pending list — the map's writer slots',
 /// the tree's own writer scratch's — and the drop must retire them all.
 #[test]
 fn drops_retire_partial_batches() {

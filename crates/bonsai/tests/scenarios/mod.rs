@@ -1,4 +1,4 @@
-//! Range-locked writer scenarios shared by the model-checking tier
+//! `RangeMap` writer scenarios shared by the model-checking tier
 //! (`tests/loom.rs`, built with `RUSTFLAGS="--cfg loom"`) and its
 //! plain-`std` stress mirror (`tests/model.rs`), following the pattern of
 //! `rcukit`'s `tests/scenarios`.
@@ -7,8 +7,9 @@
 //! interaction against the real `RangeMap`:
 //!
 //! * under loom, `loomette::model` replays it under every schedule within
-//!   the preemption bound — the range-lock table mutex/condvar, the
-//!   tree's root CAS, and every rcukit protocol atomic are switch points;
+//!   the preemption bound — the writer slots' mutexes, the tree's root
+//!   CAS, the arena's parked-batch lock and list heads, and every rcukit
+//!   protocol atomic are switch points;
 //! * under `std`, the mirror test loops it with real threads, relying on
 //!   scheduler noise.
 //!
@@ -22,7 +23,10 @@
 //! the model checker, 64 otherwise), so a scenario whose few updates must
 //! retire something inside the explored region first fills the writer's
 //! pending list ([`fill_pending`], or [`prime_pending`] when a recycled
-//! batch should be waiting too).
+//! batch should be waiting too). The prefix runs on the model's main
+//! thread, whose writes all go through writer slot 0; a spawned thread
+//! tries slot 0 first too, so a scenario's writer draws the primed scratch
+//! on a one-slot map, and the first of two writers does on a two-slot one.
 //!
 //! Most scenarios run on the epoch collector; [`reader_vs_pending_ship`]
 //! takes its backend as a parameter and runs on the hybrid one as well.
@@ -59,8 +63,8 @@ fn trim_root(map: &RangeMap<usize>, start: u64, end: &mut u64) -> u64 {
 /// scenario's "a batch shipped" assertion fail if the two drift apart.
 const RETIRE_CHUNK: u64 = if cfg!(loom) { 4 } else { 64 };
 
-/// Adds exactly `n` nodes to the pending list of the scratch that slab-0
-/// writers share, by `n` trims of the root region `[start, *end)`, none of
+/// Adds exactly `n` nodes to the pending list of writer slot 0's
+/// scratch, by `n` trims of the root region `[start, *end)`, none of
 /// which may ship the list. Single-threaded: under the model checker a
 /// prefix with no thread interleavings to explore.
 fn fill_pending(map: &RangeMap<usize>, start: u64, end: &mut u64, n: u64) {
@@ -69,7 +73,7 @@ fn fill_pending(map: &RangeMap<usize>, start: u64, end: &mut u64, n: u64) {
     }
 }
 
-/// Ships one batch from the scratch that slab-0 writers share — trimming
+/// Ships one batch from writer slot 0's scratch — trimming
 /// the root region until one ships, which is then exactly one chunk since
 /// every trim adds one node — and refills its pending list to `short_by`
 /// nodes short of the next chunk. Scenarios whose writers must reuse
@@ -88,34 +92,36 @@ fn prime_pending(map: &RangeMap<usize>, start: u64, end: &mut u64, short_by: u64
 }
 
 /// Two writers unmap *disjoint* regions while a reader translates one of
-/// them: in every schedule both writers complete (no deadlock — their
-/// range locks never conflict, so neither ever waits), the reader sees
-/// either the region or nothing (never a foreign payload), the writer
-/// that draws the primed scratch ships a retire batch, dropping the map
-/// retires what its scratches still held, and a bounded drain reclaims
-/// exactly what was retired.
+/// them, on a two-slot map: in every schedule both writers complete, and
+/// neither waits for a writer slot (the one that finds slot 0 taken takes
+/// slot 1); the reader sees either the region or nothing (never a foreign
+/// payload); the writer that draws slot 0 — the primed scratch — ships a
+/// retire batch; dropping the map retires what its scratches still held;
+/// and a bounded drain reclaims exactly what was retired.
 pub fn disjoint_writers() {
     let c = Collector::with_shards(1);
     // The default collect throttle keeps writer unpins off the registry/
     // garbage locks here, which is what makes three concurrent threads
     // explorable at CI's preemption bound: the unpin-driven collect path
     // is model-checked by rcukit's own scenarios; this one is about the
-    // range locks, the root CAS, and retirement. Reclamation is driven by
+    // writer slots, the root CAS, and retirement. Reclamation is driven by
     // the bounded explicit drain below instead.
-    let map: Arc<RangeMap<usize>> = Arc::new(RangeMap::new(c.clone()));
+    let map = Arc::new(RangeMap::<usize>::with_slots(
+        ReclaimBackend::Epoch(c.clone()),
+        2,
+    ));
     let mut end = 0x2000;
     assert!(map.map(0x1000, end, 1));
     assert!(map.map(0x3000, 0x4000, 2));
     // The second map listed the root it replaced; filling to one node
-    // short of a chunk means whichever writer draws the pooled scratch (a
-    // concurrent second writer gets a fresh one) replaces at least one
-    // node and ships the batch. Nothing ships in this prefix, which keeps
-    // the three-thread model inside the checker's budget under `tso`.
+    // short of a chunk means whichever writer draws slot 0 replaces at
+    // least one node and ships the batch. Nothing ships in this prefix,
+    // which keeps the three-thread model inside the checker's budget under
+    // `tso`.
     fill_pending(&map, 0x1000, &mut end, RETIRE_CHUNK - 2);
     assert_eq!(retired(&map), 0, "a batch shipped before the writers ran");
 
-    // `unmap_range` with the exact region bounds: one writer session each
-    // (no widening retry, no pre-read pin), keeping the model small.
+    // `unmap_range` with the exact region bounds: one plan each.
     let w1 = {
         let map = Arc::clone(&map);
         spawn(move || {
@@ -152,12 +158,8 @@ pub fn disjoint_writers() {
     w2.join().unwrap();
     reader.join().unwrap();
 
-    // Disjoint spans must never have waited on each other.
-    assert_eq!(
-        map.contended_acquires(),
-        0,
-        "disjoint writers contended on the range-lock manager"
-    );
+    // Two writers, two slots: neither may have waited.
+    assert_eq!(map.slot_waits(), 0, "a writer waited with a slot free");
     let shipped = retired(&map);
     assert!(shipped > 0, "no retire batch shipped while the writers ran");
     let g = map.pin();
@@ -165,7 +167,7 @@ pub fn disjoint_writers() {
     assert_eq!(map.lookup(0x3800, &g), None);
     drop(g);
     // The batch left its list empty, and the other unmap replaced at
-    // least one node after it (on the same scratch or a fresh one):
+    // least one node after it (on the same scratch or the other slot's):
     // dropping the map must retire that partial batch.
     drop(map);
     // Bounded drain: two advances past the newest retirement tag plus a
@@ -184,61 +186,14 @@ pub fn disjoint_writers() {
     );
 }
 
-/// Two writers on *disjoint* spans whose covering-stripe sets alias the
-/// same stripes in **opposite address order**: on a 2-stripe table, slabs
-/// (0, 1) visit stripes 0→1 by address while slabs (3, 4) visit 1→0. If
-/// acquisition followed address order this geometry would deadlock (each
-/// writer holding the stripe the other wants); the ascending-index total
-/// order must make every schedule terminate, with zero span contention
-/// (disjoint bytes never wait, however the stripes alias).
-pub fn opposite_stripe_order_writers() {
-    const SLAB: u64 = 64 * 1024; // the range-lock table's slab size
-    let c = Collector::with_shards(1);
-    let map: Arc<RangeMap<usize>> = Arc::new(RangeMap::with_stripes(c.clone(), 2));
-    assert!(map.map(0, SLAB, 1));
-    assert!(map.map(3 * SLAB, 4 * SLAB, 2));
-
-    // Each writer's unmap_range span covers both stripes, in opposite
-    // slab order; exact bounds, so one lock acquisition each (no widening
-    // retry keeps the model small).
-    let w1 = {
-        let map = Arc::clone(&map);
-        spawn(move || {
-            assert_eq!(map.unmap_range(0, 2 * SLAB), 1, "low span lost its region");
-        })
-    };
-    let w2 = {
-        let map = Arc::clone(&map);
-        spawn(move || {
-            assert_eq!(
-                map.unmap_range(3 * SLAB, 5 * SLAB),
-                1,
-                "high span lost its region"
-            );
-        })
-    };
-    w1.join().unwrap();
-    w2.join().unwrap();
-
-    assert_eq!(
-        map.contended_acquires(),
-        0,
-        "disjoint spans waited despite sharing only stripes, not bytes"
-    );
-    for _ in 0..4 {
-        c.collect();
-    }
-    let s = c.stats();
-    assert_eq!(s.objects_retired, s.objects_freed);
-    assert!(map.is_empty());
-}
-
 /// Arena recycling vs. a concurrent reader: a writer unmaps a region and
-/// immediately remaps it — with the collect throttle at 1, every writer
+/// immediately remaps it, on a one-slot map so it draws the primed
+/// scratch — with the collect throttle at 1, every writer
 /// unpin runs advance-and-reclaim, so the batch the set-up shipped has
 /// recycled into the arena, the unmap ships the next one (the set-up
-/// leaves the pending list one node short of a chunk), and in some
-/// schedules the remap *reuses recycled blocks* while the reader's lookup
+/// leaves the pending list one node short of a chunk), the batch it
+/// shipped parks on that scratch's arena, and in some schedules the remap
+/// *reuses recycled blocks* while the reader's lookup
 /// is mid-walk. The grace period is what makes that safe: a block returns
 /// to the arena only after every pinned reader is gone, so the reader must
 /// observe the old payload, the new payload, or a miss — never a torn
@@ -246,7 +201,10 @@ pub fn opposite_stripe_order_writers() {
 pub fn arena_recycle_vs_reader() {
     let c = Collector::with_shards(1);
     c.set_unpin_collect_period(1);
-    let map: Arc<RangeMap<usize>> = Arc::new(RangeMap::new(c.clone()));
+    let map = Arc::new(RangeMap::<usize>::with_slots(
+        ReclaimBackend::Epoch(c.clone()),
+        1,
+    ));
     let mut end = 0x2000;
     assert!(map.map(0x1000, end, 1));
     // Neighbour region so the rebuilt path has nodes to recycle even on
@@ -259,8 +217,8 @@ pub fn arena_recycle_vs_reader() {
         let map = Arc::clone(&map);
         spawn(move || {
             assert_eq!(map.unmap(0x1000), Some(1));
-            // The remap allocates from the same scratch pool's arena the
-            // unmap's retirement recycles into.
+            // The remap allocates from the arena the unmap's retirement
+            // recycles into: the one slot's.
             assert!(map.map(0x1000, 0x2000, 2));
         })
     };
@@ -292,8 +250,9 @@ pub fn arena_recycle_vs_reader() {
     assert_eq!(s.objects_retired, s.objects_freed);
 }
 
-/// A reader walks while the writer's pending batch ships: the set-up
-/// leaves the pending list two nodes short of a chunk, so the writer's
+/// A reader walks while the writer's pending batch ships, on a one-slot
+/// map so the writer draws the primed scratch: the set-up leaves the
+/// pending list two nodes short of a chunk, so the writer's
 /// first trim of the root region only lists the node it replaces and the
 /// second ships both with the older ones; the writer then reclaims — on
 /// the epoch collector its unpins advance the epoch (collect throttle at
@@ -307,7 +266,7 @@ pub fn reader_vs_pending_ship(backend: ReclaimBackend) {
     if let ReclaimBackend::Epoch(c) = &backend {
         c.set_unpin_collect_period(1);
     }
-    let map: Arc<RangeMap<usize>> = Arc::new(RangeMap::with_backend(backend.clone()));
+    let map = Arc::new(RangeMap::<usize>::with_slots(backend.clone(), 1));
     let mut end = 0x2000;
     assert!(map.map(0x1000, end, 1));
     assert!(map.map(0x3000, 0x4000, 7));
@@ -364,20 +323,18 @@ pub fn hybrid() -> ReclaimBackend {
 
 /// The arena's owner vs. a recycling thread: a standalone `BonsaiTree`
 /// has exactly one writer scratch, so every insert's allocation pops that
-/// scratch's private stack and, when it is dry, takes the arena's whole
-/// shared list with one `swap` — while a concurrent `collect()` firing an
-/// earlier remove's retirement batch links the recycled blocks into a
-/// chain and *pushes* it onto that shared list from the driver thread
-/// (under loom the arena carves 4-block chunks, so the set-up below leaves
-/// the private stack dry and the writer's first allocation races the
-/// push). That is the multi-producer/single-consumer pairing of
-/// `Release`-CAS push and `Acquire` swap: the blocks' link writes and
-/// payload drops must be visible to the taker before the blocks are, in
-/// every schedule (and, under `LOOMETTE_MODEL=tso`, with the pusher's
-/// stores buffered until its CAS drains). A torn block would surface as a
-/// broken invariant or a wrong final map. (The name predates the
-/// take-everything consumer: the shared list was a Treiber stack popped
-/// one block at a time.)
+/// scratch's private stack and, when it is dry, takes the next batch
+/// parked on its arena — while a concurrent `collect()` firing an earlier
+/// remove's retirement batch drops its payloads and *parks* it from the
+/// driver thread (under loom the arena carves 4-block chunks, so the
+/// set-up below leaves the private stack dry and the writer's first
+/// allocation races the park). The parked-batch lock orders the
+/// reclaimer's payload drops before the owner reuses a block, in every
+/// schedule (and, under `LOOMETTE_MODEL=tso`, with the reclaimer's stores
+/// buffered until its unlock drains them). A torn block would surface as
+/// a broken invariant or a wrong final map. (The name predates parking:
+/// the reclaimer used to link the blocks into a Treiber-style shared
+/// list.)
 pub fn treiber_recycle_push_vs_alloc_pop() {
     let c = Collector::with_shards(1);
     let tree: Arc<BonsaiTree<u64, u64>> = Arc::new(BonsaiTree::new(c.clone()));
@@ -385,15 +342,15 @@ pub fn treiber_recycle_push_vs_alloc_pop() {
     tree.insert(2, 20);
     tree.insert(3, 30);
     // Retire a path-rebuild batch; its recycler is the tree's single
-    // scratch arena, so when a collect fires it the blocks push back onto
-    // the very shared list the next insert takes.
+    // scratch arena, so when a collect fires it the batch parks on the
+    // very arena the next insert allocates from.
     assert_eq!(tree.remove(&2), Some(20));
 
     let driver = {
         let c = c.clone();
         spawn(move || {
             // Two advances past the retirement tag plus the reclaim pass
-            // that runs `push_chain` — concurrent with the writer's take.
+            // that parks the batch — concurrent with the writer's take.
             for _ in 0..3 {
                 c.collect();
             }
@@ -532,56 +489,11 @@ pub fn shared_subtree_retire() {
     );
 }
 
-/// A parked waiter and a releasing holder: both writers lock exactly
-/// `[0x1000, 0x2000)`, so whichever arrives while the other holds the span
-/// finds the conflict, counts itself in the stripe's `waiting` word and
-/// parks — and the holder's release, which notifies the stripe only when
-/// it reads a non-zero count under the stripe mutex, must wake it. A lost
-/// wakeup is a thread parked forever: the explorer reports it as a
-/// deadlock, the `std` mirror hangs. Every schedule must end in one of
-/// the two serial outcomes.
-pub fn parked_waiter_vs_releasing_holder() {
-    let c = Collector::with_shards(1);
-    let map: Arc<RangeMap<usize>> = Arc::new(RangeMap::with_stripes(c.clone(), 2));
-    assert!(map.map(0x1000, 0x2000, 1));
-
-    let remover = {
-        let map = Arc::clone(&map);
-        // Exact bounds: one acquisition, no widening retry.
-        spawn(move || map.unmap_range(0x1000, 0x2000))
-    };
-    let mapper = {
-        let map = Arc::clone(&map);
-        spawn(move || map.map(0x1000, 0x2000, 2))
-    };
-    let removed = remover.join().unwrap();
-    let mapped = mapper.join().unwrap();
-
-    // The remover always finds region 1 (the mapper can only add a region
-    // once it is gone); the mapper succeeds iff it ran second.
-    assert_eq!(removed, 1, "remover lost its region");
-    let want = if mapped {
-        vec![(0x1000, 0x2000, 2)]
-    } else {
-        vec![]
-    };
-    assert_eq!(map.to_vec(), want, "outcome is not a serial order");
-    assert!(
-        map.contended_acquires() <= 1,
-        "one of two writers waits at most once"
-    );
-    for _ in 0..4 {
-        c.collect();
-    }
-    let s = c.stats();
-    assert_eq!(s.objects_retired, s.objects_freed);
-}
-
 /// Two writers race on *overlapping* spans: one clears `[0x1000, 0x2000)`
-/// out of a larger region (exercising the span-widening retry and a
-/// truncation re-insert), the other tries to map into the same bytes.
-/// The range locks must serialize them into one of exactly two outcomes —
-/// in every schedule, with no deadlock and no overlap in the final state.
+/// out of a larger region (a truncation that puts the region's tail back),
+/// the other tries to map into the same bytes. Each decides inside its own
+/// rebuild, so the root CAS serializes them into one of exactly two
+/// outcomes — in every schedule, with no overlap in the final state.
 pub fn overlapping_writers() {
     let c = Collector::with_shards(1);
     c.set_unpin_collect_period(1);
@@ -592,8 +504,7 @@ pub fn overlapping_writers() {
         let map = Arc::clone(&map);
         spawn(move || {
             // Removes [0x1000,0x3000) and re-publishes its tail
-            // [0x2000,0x3000): the discovered extent (0x3000) escapes the
-            // requested span, forcing the widening retry path.
+            // [0x2000,0x3000), in one publication.
             assert_eq!(map.unmap_range(0x1000, 0x2000), 1);
         })
     };
@@ -620,6 +531,121 @@ pub fn overlapping_writers() {
             "mapper was rejected yet the hole is not clean"
         );
     }
+    for _ in 0..4 {
+        c.collect();
+    }
+    let s = c.stats();
+    assert_eq!(s.objects_retired, s.objects_freed);
+}
+
+/// A parked waiter and a releasing holder, on a one-slot map: both writers
+/// touch exactly `[0x1000, 0x2000)`, so whichever arrives while the other
+/// holds the one writer slot finds every slot busy, counts a slot wait and
+/// blocks on its home slot — and the holder's release must wake it. A
+/// lost wakeup is a thread blocked forever: the explorer reports it as a
+/// deadlock, the `std` mirror hangs. Every schedule must end in one of
+/// the two serial outcomes.
+pub fn parked_waiter_vs_releasing_holder() {
+    let c = Collector::with_shards(1);
+    let map = Arc::new(RangeMap::<usize>::with_slots(
+        ReclaimBackend::Epoch(c.clone()),
+        1,
+    ));
+    assert!(map.map(0x1000, 0x2000, 1));
+
+    let remover = {
+        let map = Arc::clone(&map);
+        spawn(move || map.unmap_range(0x1000, 0x2000))
+    };
+    let mapper = {
+        let map = Arc::clone(&map);
+        spawn(move || map.map(0x1000, 0x2000, 2))
+    };
+    let removed = remover.join().unwrap();
+    let mapped = mapper.join().unwrap();
+
+    // The remover always finds region 1 (the mapper can only add a region
+    // once it is gone); the mapper succeeds iff it ran second.
+    assert_eq!(removed, 1, "remover lost its region");
+    let want = if mapped {
+        vec![(0x1000, 0x2000, 2)]
+    } else {
+        vec![]
+    };
+    assert_eq!(map.to_vec(), want, "outcome is not a serial order");
+    assert!(
+        map.slot_waits() <= 1,
+        "one of two writers waits for the slot at most once"
+    );
+    assert_eq!(map.held_writer_slots(), 0, "a writer slot stayed held");
+    drop(map);
+    for _ in 0..4 {
+        c.collect();
+    }
+    let s = c.stats();
+    assert_eq!(s.objects_retired, s.objects_freed);
+}
+
+/// How [`overlapping_maps`] admits a mapping: as `RangeMap::map`, whose
+/// overlap check is the plan of the insert's own rebuild, or — the
+/// meta-test's broken variant — as a probe and an insert, two calls on a
+/// `BonsaiTree` of `start → end`.
+#[derive(Clone, Copy)]
+pub enum Admit {
+    /// `RangeMap::map`: decide inside the rebuild.
+    InRebuild,
+    /// Probe for overlap, then insert: the decision split from the commit.
+    #[cfg(loom)]
+    ProbeThenInsert,
+}
+
+/// Two threads map overlapping spans, `[0x1000, 0x3000)` and
+/// `[0x2000, 0x4000)`, into an empty map: exactly one may win, in every
+/// schedule. [`Admit::ProbeThenInsert`] lets both probes run before either
+/// insert, which the check reports as a double admission — the meta-test
+/// in `tests/loom.rs` shows the check can see one.
+pub fn overlapping_maps(admit: Admit) {
+    let c = Collector::with_shards(1);
+    let map: Arc<RangeMap<usize>> = Arc::new(RangeMap::new(c.clone()));
+    #[cfg(loom)]
+    let tree: Arc<BonsaiTree<u64, u64>> = Arc::new(BonsaiTree::new(c.clone()));
+    let mapper = |start: u64, end: u64| {
+        let map = Arc::clone(&map);
+        #[cfg(loom)]
+        let tree = Arc::clone(&tree);
+        spawn(move || match admit {
+            Admit::InRebuild => map.map(start, end, 0),
+            #[cfg(loom)]
+            Admit::ProbeThenInsert => {
+                let head = tree.get_le_owned(&start).is_some_and(|(_, e)| e > start);
+                let tail = tree
+                    .get_le_owned(&(end - 1))
+                    .is_some_and(|(s, _)| s >= start);
+                !(head || tail) && tree.insert(start, end).is_none()
+            }
+        })
+    };
+    let (a, b) = (mapper(0x1000, 0x3000), mapper(0x2000, 0x4000));
+    let admitted = [a.join().unwrap(), b.join().unwrap()];
+    assert!(
+        admitted != [true, true],
+        "double admission of overlapping maps"
+    );
+    assert!(admitted != [false, false], "both overlapping maps refused");
+    let regions: Vec<(u64, u64)> = match admit {
+        Admit::InRebuild => map.to_vec().into_iter().map(|(s, e, _)| (s, e)).collect(),
+        #[cfg(loom)]
+        Admit::ProbeThenInsert => tree.to_vec(),
+    };
+    let winner = if admitted[0] {
+        (0x1000, 0x3000)
+    } else {
+        (0x2000, 0x4000)
+    };
+    assert_eq!(regions, vec![winner], "the map disagrees with the winner");
+    drop(map);
+    #[cfg(loom)]
+    drop(tree);
     for _ in 0..4 {
         c.collect();
     }

@@ -184,6 +184,53 @@ mod tests {
         });
     }
 
+    /// A failed `try_lock` returns at once: the holder joins the
+    /// contender while still holding the lock, so a `try_lock` that
+    /// blocked would deadlock the model, and the checker reports that.
+    #[test]
+    fn failed_try_lock_never_blocks() {
+        super::model(|| {
+            let m = Arc::new(Mutex::new(()));
+            let held = m.lock().unwrap();
+            let m2 = Arc::clone(&m);
+            let t = crate::thread::spawn(move || m2.try_lock().is_err());
+            assert!(t.join().unwrap(), "try_lock took a held mutex");
+            drop(held);
+        });
+    }
+
+    /// A successful `try_lock` excludes `lock`: the two non-atomic
+    /// increments never interleave, in every schedule — and the
+    /// exploration reaches both a won and a lost attempt.
+    #[test]
+    fn successful_try_lock_excludes_lock() {
+        let outcomes = Arc::new(std::sync::Mutex::new([false; 2]));
+        let seen = Arc::clone(&outcomes);
+        super::model(move || {
+            let m = Arc::new(Mutex::new(0u64));
+            let m2 = Arc::clone(&m);
+            let t = crate::thread::spawn(move || {
+                let Ok(mut g) = m2.try_lock() else {
+                    return false;
+                };
+                let v = *g;
+                crate::sched::yield_now(); // widen the window
+                *g = v + 1;
+                true
+            });
+            {
+                let mut g = m.lock().unwrap();
+                let v = *g;
+                crate::sched::yield_now();
+                *g = v + 1;
+            }
+            let won = t.join().unwrap();
+            assert_eq!(*m.lock().unwrap(), 1 + u64::from(won));
+            seen.lock().unwrap()[usize::from(won)] = true;
+        });
+        assert_eq!(*outcomes.lock().unwrap(), [true, true]);
+    }
+
     /// The checker reports deadlocks instead of hanging.
     #[test]
     fn detects_deadlock() {

@@ -929,6 +929,34 @@ impl Scheduler {
         }
     }
 
+    /// Scheduler-side non-blocking acquire: one switch point, then the
+    /// lock word is taken if free (with `mutex_lock`'s acquire edges) or
+    /// left alone. A failed attempt joins no clock and never blocks. After
+    /// a model failure it answers `true` and leaves the decision to the
+    /// real mutex, as `mutex_lock` does.
+    fn mutex_try_lock(&self, me: usize, id: usize) -> bool {
+        if self.degraded() {
+            self.die();
+            return true;
+        }
+        self.switch(me);
+        if self.degraded() {
+            self.die();
+            return true;
+        }
+        let mut st = self.st();
+        if st.mutexes[id] {
+            return false;
+        }
+        st.mutexes[id] = true;
+        st.drain_buffer(me);
+        if st.mem == MemModel::AcqRel {
+            let rel = st.mutex_clocks[id].clone();
+            join(&mut st.clocks[me], &rel);
+        }
+        true
+    }
+
     fn mutex_unlock(&self, me: usize, id: usize) {
         let mut st = self.st();
         // TSO: everything stored inside the critical section must be
@@ -1056,6 +1084,10 @@ pub(crate) fn run_seq(sched: &Scheduler) -> u64 {
 
 pub(crate) fn lock(sched: &Scheduler, me: usize, id: usize) {
     sched.mutex_lock(me, id);
+}
+
+pub(crate) fn try_lock(sched: &Scheduler, me: usize, id: usize) -> bool {
+    sched.mutex_try_lock(me, id)
 }
 
 pub(crate) fn unlock(sched: &Scheduler, me: usize, id: usize) {

@@ -406,6 +406,36 @@ impl<T> Mutex<T> {
         })
     }
 
+    /// Acquires the mutex if it is free, without blocking. A scheduling
+    /// point like [`lock`](Self::lock): the explorer may run another
+    /// thread first. A successful attempt is an acquire exactly like
+    /// `lock`'s; a failed one returns `WouldBlock` at once and, like
+    /// `std`'s, synchronizes with nothing. Never reports poisoning.
+    pub fn try_lock(&self) -> std::sync::TryLockResult<MutexGuard<'_, T>> {
+        let in_model = match sched::with_scheduler(|sched, me| {
+            let id = self.run_id(sched);
+            sched::try_lock(sched, me, id)
+        }) {
+            Some(false) => return Err(std::sync::TryLockError::WouldBlock),
+            Some(true) => true,
+            None => false,
+        };
+        // In a model the lock word is now ours, so the real lock is free;
+        // outside one (or after a model failure) this is the real attempt.
+        let guard = match self.inner.try_lock() {
+            Ok(guard) => guard,
+            Err(std::sync::TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(std::sync::TryLockError::WouldBlock) => {
+                return Err(std::sync::TryLockError::WouldBlock)
+            }
+        };
+        Ok(MutexGuard {
+            guard: Some(guard),
+            mutex: self,
+            in_model,
+        })
+    }
+
     /// Exclusive access without locking.
     pub fn get_mut(&mut self) -> std::sync::LockResult<&mut T> {
         Ok(self
